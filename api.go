@@ -219,6 +219,10 @@ func NewEnsemble(m Measure, cfgs ...Config) (*Ensemble, error) { return core.New
 // (distinct parameters, one shared measure; adopted, not copied).
 func NewEnsembleFrom(dbs ...*Database) (*Ensemble, error) { return core.NewEnsembleFrom(dbs...) }
 
+// EnsembleOf wraps a compiled database as a one-member compiled
+// ensemble, the form the engines match through (nil yields nil).
+func EnsembleOf(db *CompiledDB) *CompiledEnsemble { return core.EnsembleOf(db) }
+
 // LoadBinaryEnsemble reads an ensemble written with Ensemble.SaveBinary
 // — the versioned multi-database checkpoint container.
 func LoadBinaryEnsemble(r io.Reader) (*Ensemble, error) { return core.LoadBinaryEnsemble(r) }
@@ -266,18 +270,19 @@ type (
 	WindowResult = core.WindowResult
 )
 
-// NewEngine creates a streaming engine extracting signatures under cfg
-// and matching each closed window against db (nil runs extraction-only;
-// install references later with Engine.SetDB).
+// NewEngine creates a single-parameter streaming engine — an ensemble
+// of one: signatures are extracted under cfg and each closed window is
+// matched against db (nil runs extraction-only; install references
+// later with Engine.SetEnsembleDB and EnsembleOf).
 func NewEngine(cfg Config, db *CompiledDB, opts EngineOptions) (*Engine, error) {
 	return engine.New(cfg, db, opts)
 }
 
-// NewEnsembleEngine creates a streaming multi-parameter engine: every
-// member parameter is extracted in one pass and each closed window is
-// fuse-matched against edb (nil runs extraction-only; install
-// references later with Engine.SetEnsembleDB). Verdict events carry
-// fused plus per-member score vectors.
+// NewEnsembleEngine creates a streaming engine over one or more
+// parameters: every member parameter is extracted in one pass and each
+// closed window is fuse-matched against edb (nil runs extraction-only;
+// install references later with Engine.SetEnsembleDB). Verdict events
+// carry fused plus per-member score vectors.
 func NewEnsembleEngine(cfgs []Config, edb *CompiledEnsemble, opts EngineOptions) (*Engine, error) {
 	return engine.NewEnsemble(cfgs, edb, opts)
 }
@@ -314,12 +319,6 @@ type (
 	// EnrollDecision is the three-way verdict of TrainerOptions.Decide
 	// (DecideApprove, DecideReject, DecideDefer).
 	EnrollDecision = engine.EnrollDecision
-	// DBSetter is the hot-swap half of an engine as the trainer sees
-	// it; Engine and ShardedEngine both implement it.
-	DBSetter = engine.DBSetter
-	// EnsembleDBSetter is the hot-swap half of an ensemble engine;
-	// Engine and ShardedEngine both implement it.
-	EnsembleDBSetter = engine.EnsembleDBSetter
 )
 
 // Enrollment policies for TrainerOptions.
@@ -364,7 +363,7 @@ func NewEnsembleTrainer(cfgs []Config, m Measure, opts TrainerOptions) (*Trainer
 	return engine.NewEnsembleTrainer(cfgs, m, opts)
 }
 
-// NewEnsembleTrainerFrom creates an ensemble trainer seeded with an
+// NewEnsembleTrainerFrom creates a trainer seeded with an
 // existing ensemble (deep-copied). Seeds holding partially-enrolled
 // devices are refused — they can never match and enrollment cannot
 // repair them.
@@ -408,10 +407,10 @@ func NewShardedEngine(cfg Config, db *CompiledDB, opts ShardedOptions) (*Sharded
 	return engine.NewSharded(cfg, db, opts)
 }
 
-// NewShardedEnsembleEngine creates a sharded multi-parameter engine:
-// the router computes every member's parameter value against the
-// global inter-arrival context, so the merged fused event stream is
-// identical to NewEnsembleEngine's at every shard count.
+// NewShardedEnsembleEngine creates a sharded engine over one or more
+// parameters: the router computes every member's parameter value
+// against the global inter-arrival context, so the merged event stream
+// is identical to NewEnsembleEngine's at every shard count.
 func NewShardedEnsembleEngine(cfgs []Config, edb *CompiledEnsemble, opts ShardedOptions) (*ShardedEngine, error) {
 	return engine.NewShardedEnsemble(cfgs, edb, opts)
 }

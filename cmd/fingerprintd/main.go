@@ -266,11 +266,7 @@ func main() {
 		}
 		fatal(err)
 	}
-	// An ensemble reference set selects the fused engines even with one
-	// member — a 1-member ensemble checkpoint must drive the ensemble
-	// path, not silently fall back to an empty single-parameter engine.
-	fused := refs.Multi() || len(cfgs) > 1
-	if fused && *savePath != "" {
+	if len(cfgs) > 1 && *savePath != "" {
 		if err := cmdutil.CheckEnsembleSave(*savePath); err != nil {
 			fatal(fmt.Errorf("-save %s: %w", *savePath, err))
 		}
@@ -292,7 +288,7 @@ func main() {
 		}
 	}
 	refs.SetIndexing(indexMode)
-	trainer, cdb, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
+	trainer, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
 	if err != nil {
 		fatal(err)
 	}
@@ -339,12 +335,7 @@ func main() {
 		HealthSink:   healthSink,
 		Cluster:      cl,
 	}
-	var eng *dot11fp.ShardedEngine
-	if fused {
-		eng, err = dot11fp.NewShardedEnsembleEngine(cfgs, cedb, opts)
-	} else {
-		eng, err = dot11fp.NewShardedEngine(cfgs[0], cdb, opts)
-	}
+	eng, err := dot11fp.NewShardedEnsembleEngine(cfgs, cedb, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -383,7 +374,7 @@ func main() {
 		defer ckptMu.Unlock()
 		snap := refs
 		if trainer != nil {
-			snap = cmdutil.References{DB: trainer.Database(), Ens: trainer.Ensemble()}
+			snap = cmdutil.References{Ens: trainer.Ensemble()}
 		}
 		if snap.Empty() {
 			fmt.Fprintf(os.Stderr, "fingerprintd: %s: no references to checkpoint yet\n", reason)

@@ -97,7 +97,7 @@ func main() {
 		fatal(err)
 	}
 	refs.SetIndexing(indexMode)
-	trainer, cdb, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
+	trainer, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
 	if err != nil {
 		fatal(err)
 	}
@@ -109,7 +109,7 @@ func main() {
 
 	// The serial engine and the sharded engine share the push contract,
 	// so the monitoring loop is engine-agnostic; a -param comma list
-	// selects the fused (multi-parameter) engines.
+	// adds members to the fused reference set.
 	var eng interface {
 		Push(*dot11fp.Record)
 		Close()
@@ -127,25 +127,12 @@ func main() {
 		site = server.NewSite(*siteName, server.SiteOptions{Window: *window, Threshold: *threshold})
 		sink = site.Sink(sink)
 	}
-	// An ensemble reference set selects the fused engines even with one
-	// member — a 1-member ensemble checkpoint must drive the ensemble
-	// path, not silently fall back to an empty single-parameter engine.
-	fused := refs.Multi() || len(cfgs) > 1
-	switch {
-	case *shards == 1 && fused:
+	if *shards == 1 {
 		eng, err = dot11fp.NewEnsembleEngine(cfgs, cedb, dot11fp.EngineOptions{
 			Window: *window, Threshold: *threshold, Sink: sink, Trainer: trainer, Cluster: cl,
 		})
-	case *shards == 1:
-		eng, err = dot11fp.NewEngine(cfgs[0], cdb, dot11fp.EngineOptions{
-			Window: *window, Threshold: *threshold, Sink: sink, Trainer: trainer, Cluster: cl,
-		})
-	case fused:
+	} else {
 		eng, err = dot11fp.NewShardedEnsembleEngine(cfgs, cedb, dot11fp.ShardedOptions{
-			Window: *window, Threshold: *threshold, Shards: *shards, Sink: sink, Trainer: trainer, Cluster: cl,
-		})
-	default:
-		eng, err = dot11fp.NewShardedEngine(cfgs[0], cdb, dot11fp.ShardedOptions{
 			Window: *window, Threshold: *threshold, Shards: *shards, Sink: sink, Trainer: trainer, Cluster: cl,
 		})
 	}

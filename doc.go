@@ -59,8 +59,9 @@
 //	}
 //	eng.Close()
 //
-// Engine.SetDB hot-swaps the reference database mid-stream (live
-// retraining without dropping a frame), and Engine.Stats exposes
+// Engine.SetEnsembleDB hot-swaps the references mid-stream (live
+// retraining without dropping a frame; wrap a single compiled database
+// with EnsembleOf), and Engine.Stats exposes
 // frames/s, live senders and per-verdict counters. The batch paths are
 // thin adapters over the same code: CandidatesIn replays a trace
 // through the shared WindowAccumulator and Evaluate drives an Engine,
@@ -131,7 +132,7 @@
 // windows and MinObservations observations), applies the enrollment
 // policy — EnrollAuto, EnrollConfirm with a callback, a deny-list —
 // and promotes completed signatures into its private copy-on-write
-// Database, compiling and hot-swapping the engine so the next window
+// Ensemble, compiling and hot-swapping the engine so the next window
 // matches against the grown reference set. Promotions surface as typed
 // events: EnrollmentProgress per pending sender, DeviceEnrolled per
 // promotion, and exactly one DBSwapped per promotion batch.
@@ -154,8 +155,9 @@
 // an existing database (deep-copied); TrainerOptions.Update keeps
 // enrolled references learning from re-observations.
 //
-// Trainer.Database() snapshots the working references under the
-// trainer's lock for checkpointing. Database.SaveBinary/LoadBinary is
+// Trainer.Ensemble() snapshots the working references under the
+// trainer's lock for checkpointing (Trainer.Database() returns a
+// single-parameter trainer's one member). Database.SaveBinary/LoadBinary is
 // the checkpoint codec — a versioned binary format roughly an order of
 // magnitude faster and smaller than the JSON interop path (which Save/
 // Load keep serving), so SIGHUP-triggered checkpoints do not stall
@@ -242,12 +244,17 @@
 // zero-allocation (MatchInto + EnsembleScratch) and batched (MatchAll)
 // fused entry points.
 //
-// The streaming stack runs fused end to end. NewEnsembleEngine /
-// NewShardedEnsembleEngine extract every member parameter in one pass
-// — one window clock, one shared inter-arrival context, one signature
-// per member per sender — and match each closed window on the fused
+// The streaming stack has one matcher: every engine extracts every
+// member parameter in one pass — one window clock, one shared
+// inter-arrival context, one signature per member per sender — and
+// matches each closed window against a CompiledEnsemble on the fused
 // score, emitting verdict events that carry the fused vector (Scores)
-// plus the per-member vectors and signatures (ParamScores, Sigs):
+// plus the per-member vectors and signatures (ParamScores, Sigs). A
+// single-parameter engine (NewEngine, NewShardedEngine) is an ensemble
+// of one whose fused scores equal its member's bit for bit
+// (TestEnsembleOfOneEqualsMember), so the single-parameter goldens pin
+// the shared path too. NewEnsembleEngine / NewShardedEnsembleEngine
+// take the member list directly:
 //
 //	cfgs := []dot11fp.Config{
 //	    {Param: dot11fp.ParamRate}, {Param: dot11fp.ParamSize}, {Param: dot11fp.ParamInterArrival},
@@ -260,8 +267,8 @@
 // pins serial and sharded fused scores bit-identical to the batch
 // Ensemble path at every shard count, TestEnsemblePushZeroAllocs keeps
 // the N-parameter push path allocation-free, and SetEnsembleDB
-// hot-swaps fused references exactly like SetDB. Online enrollment is
-// fused too: NewEnsembleTrainer accumulates one signature per member
+// hot-swaps references on every engine. Online enrollment runs the
+// same way: every Trainer accumulates one signature per member
 // per pending sender and promotes them atomically (Ensemble.Add), so a
 // live-enrolled ensemble never holds a device enrolled in some members
 // but not others; devices that end up partially known anyway (e.g.
@@ -270,7 +277,8 @@
 // NewEnsembleTrainerFrom refuses such seeds. cmd/livemon and
 // cmd/fingerprintd select fusion with a -param comma list
 // (-param rate,size,iat); fingerprintd -save checkpoints the whole
-// fused reference set in one atomic container.
+// fused reference set in one atomic container, and a one-member set as
+// its single database (JSON or binary by extension).
 //
 // # MAC randomization
 //

@@ -63,7 +63,7 @@ func main() {
 			if err := db.Train(live.Slice(live.Records[0].T, live.Records[half].T)); err != nil {
 				log.Fatal(err)
 			}
-			if err := eng.SetDB(db.Compile()); err != nil {
+			if err := eng.SetEnsembleDB(dot11fp.EnsembleOf(db.Compile())); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("(references retrained mid-stream: %d devices)\n\n", db.Len())

@@ -41,66 +41,57 @@ func ParseParams(s string) ([]dot11fp.Param, error) {
 	return params, nil
 }
 
-// References is a resolved reference set: a single-parameter database
-// or a multi-parameter ensemble — the monitoring commands treat both
-// through this one handle. The zero value is the cold start (no
-// references yet).
+// References is a resolved reference set: an ensemble of one or more
+// member databases — a single-parameter set is an ensemble of one, so
+// the monitoring commands handle every set through this one handle.
+// The zero value is the cold start (no references yet).
 type References struct {
-	DB  *dot11fp.Database
 	Ens *dot11fp.Ensemble
 }
 
+// FromDatabase wraps a single-parameter database as a one-member
+// reference set (adopted, not copied).
+func FromDatabase(db *dot11fp.Database) References {
+	ens, _ := dot11fp.NewEnsembleFrom(db) // one member always validates
+	return References{Ens: ens}
+}
+
 // Empty reports a cold start.
-func (r References) Empty() bool { return r.DB == nil && r.Ens == nil }
+func (r References) Empty() bool { return r.Ens == nil }
 
-// Multi reports a multi-parameter (ensemble) reference set.
-func (r References) Multi() bool { return r.Ens != nil }
-
-// Len returns the number of reference devices (fully-known ones, for
-// an ensemble).
+// Len returns the number of reference devices (those known to every
+// member).
 func (r References) Len() int {
-	switch {
-	case r.DB != nil:
-		return r.DB.Len()
-	case r.Ens != nil:
-		return r.Ens.Len()
+	if r.Ens == nil {
+		return 0
 	}
-	return 0
+	return r.Ens.Len()
 }
 
 // Configs returns the extraction configurations (one per member).
 func (r References) Configs() []dot11fp.Config {
-	switch {
-	case r.DB != nil:
-		return []dot11fp.Config{r.DB.Config()}
-	case r.Ens != nil:
-		return r.Ens.Configs()
+	if r.Ens == nil {
+		return nil
 	}
-	return nil
+	return r.Ens.Configs()
 }
 
-// SetIndexing applies the -index mode to the reference set — database
-// or every ensemble member alike; no-op on a cold start. Call it
-// before compiling (EnrollOrCompile): the mode is a property of the
-// mutable references, and compiled snapshots freeze it in.
+// SetIndexing applies the -index mode to every member of the reference
+// set; no-op on a cold start. Call it before compiling
+// (EnrollOrCompile): the mode is a property of the mutable references,
+// and compiled snapshots freeze it in.
 func (r References) SetIndexing(mode dot11fp.IndexMode) {
-	switch {
-	case r.DB != nil:
-		r.DB.SetIndexing(mode)
-	case r.Ens != nil:
+	if r.Ens != nil {
 		r.Ens.SetIndexing(mode)
 	}
 }
 
 // Measure returns the similarity measure.
 func (r References) Measure() dot11fp.Measure {
-	switch {
-	case r.DB != nil:
-		return r.DB.Measure()
-	case r.Ens != nil:
-		return r.Ens.Measure()
+	if r.Ens == nil {
+		return 0
 	}
-	return 0
+	return r.Ens.Measure()
 }
 
 // defaultConfigs materialises the default extraction configuration per
@@ -115,8 +106,8 @@ func defaultConfigs(params []dot11fp.Param) []dot11fp.Config {
 
 // TrainFromStream materialises only the training prefix of a record
 // stream (records with T within refDur of the first record), builds
-// the reference set — a database for one parameter, an ensemble for
-// several — and hands back the boundary record so monitoring starts
+// the reference set — an ensemble of one member per parameter — and
+// hands back the boundary record so monitoring starts
 // exactly where training stopped — Split's anchoring, streamed. Works
 // over any record source: a single pcap stream or a multi-source merge.
 func TrainFromStream(stream dot11fp.RecordSource, refDur time.Duration, params []dot11fp.Param, measure dot11fp.Measure) (References, *dot11fp.Record, error) {
@@ -148,13 +139,6 @@ func TrainFromStream(stream dot11fp.RecordSource, refDur time.Duration, params [
 // trainRefs builds the reference set for the parameter list from a
 // materialised training trace.
 func trainRefs(train *dot11fp.Trace, params []dot11fp.Param, measure dot11fp.Measure) (References, error) {
-	if len(params) == 1 {
-		db := dot11fp.NewDatabase(dot11fp.DefaultConfig(params[0]), measure)
-		if err := db.Train(train); err != nil {
-			return References{}, err
-		}
-		return References{DB: db}, nil
-	}
 	ens, err := dot11fp.NewEnsemble(measure, defaultConfigs(params)...)
 	if err != nil {
 		return References{}, err
@@ -240,38 +224,29 @@ func (f EnrollFlags) Validate() error {
 // NewTrainer builds the trainer the flags describe: auto-enrollment
 // over the given horizon (confirm mode when Decide is set), references
 // frozen once enrolled. seed may be
-// empty for a cold start; a multi-parameter seed (or cfgs list) yields
-// an ensemble trainer.
+// empty for a cold start over cfgs.
 func (f EnrollFlags) NewTrainer(cfgs []dot11fp.Config, measure dot11fp.Measure, seed References) (*dot11fp.Trainer, error) {
 	opts := dot11fp.TrainerOptions{Horizon: f.Windows}
 	if f.Decide != nil {
 		opts.Policy, opts.Decide = dot11fp.EnrollConfirm, f.Decide
 	}
-	switch {
-	case seed.DB != nil:
-		return dot11fp.NewTrainerFrom(seed.DB, opts), nil
-	case seed.Ens != nil:
+	if seed.Ens != nil {
 		return dot11fp.NewEnsembleTrainerFrom(seed.Ens, opts)
-	case len(cfgs) > 1:
-		return dot11fp.NewEnsembleTrainer(cfgs, measure, opts)
 	}
-	return dot11fp.NewTrainer(cfgs[0], measure, opts), nil
+	return dot11fp.NewEnsembleTrainer(cfgs, measure, opts)
 }
 
 // EnrollOrCompile turns resolved references into the engine's inputs:
 // when enrolling, a live trainer that owns the references (warm-started
-// from refs when they were resolved); otherwise the compiled database
-// or ensemble, nil on a cold start. At most one of the three results is
+// from refs when they were resolved); otherwise the compiled
+// references, nil on a cold start. At most one of the two results is
 // non-nil.
-func (f EnrollFlags) EnrollOrCompile(cfgs []dot11fp.Config, measure dot11fp.Measure, refs References) (trainer *dot11fp.Trainer, cdb *dot11fp.CompiledDB, cedb *dot11fp.CompiledEnsemble, err error) {
+func (f EnrollFlags) EnrollOrCompile(cfgs []dot11fp.Config, measure dot11fp.Measure, refs References) (trainer *dot11fp.Trainer, cedb *dot11fp.CompiledEnsemble, err error) {
 	if f.Enroll {
 		trainer, err = f.NewTrainer(cfgs, measure, refs)
 		return
 	}
-	switch {
-	case refs.DB != nil:
-		cdb = refs.DB.Compile()
-	case refs.Ens != nil:
+	if refs.Ens != nil {
 		cedb = refs.Ens.Compile()
 	}
 	return
@@ -282,10 +257,10 @@ func (f EnrollFlags) EnrollOrCompile(cfgs []dot11fp.Config, measure dot11fp.Meas
 // param and measure names are ignored, both come from the file), train
 // on the stream's first ref duration, or accept a cold start when
 // enrollment will populate the references. paramList takes the -param
-// comma syntax; more than one parameter resolves a multi-parameter
-// ensemble. pending is the first record past a training prefix, nil
-// otherwise. Progress is reported on stderr under prefix; sources > 1
-// notes the multi-source merge.
+// comma syntax; each parameter becomes one member of the ensemble.
+// pending is the first record past a training prefix, nil otherwise.
+// Progress is reported on stderr under prefix; sources > 1 notes the
+// multi-source merge.
 func ResolveReferences(prefix, dbPath string, ref time.Duration, paramList, measureName string, enroll EnrollFlags, stream dot11fp.RecordSource, sources int) (cfgs []dot11fp.Config, measure dot11fp.Measure, refs References, pending *dot11fp.Record, err error) {
 	if dbPath != "" {
 		if refs, err = LoadReferencesFile(dbPath); err != nil {
@@ -324,13 +299,11 @@ func ResolveReferences(prefix, dbPath string, ref time.Duration, paramList, meas
 			from += fmt.Sprintf(" of %d sources", sources)
 		}
 		fmt.Fprintf(os.Stderr, "%s: trained %d references from %s (%s)\n", prefix, refs.Len(), from, paramsLabel(cfgs))
-		if refs.Ens != nil {
-			if partial := refs.Ens.Partial(); len(partial) > 0 {
-				// The operator hears about enrolled-yet-unmatchable
-				// devices instead of wondering why they never match.
-				fmt.Fprintf(os.Stderr, "%s: %d devices cleared only some parameters and will never match: %v\n",
-					prefix, len(partial), partial)
-			}
+		if partial := refs.Ens.Partial(); len(partial) > 0 {
+			// The operator hears about enrolled-yet-unmatchable devices
+			// instead of wondering why they never match.
+			fmt.Fprintf(os.Stderr, "%s: %d devices cleared only some parameters and will never match: %v\n",
+				prefix, len(partial), partial)
 		}
 	}
 	return
@@ -348,24 +321,11 @@ func paramsLabel(cfgs []dot11fp.Config) string {
 	return "fused " + strings.Join(names, "+")
 }
 
-// LoadDatabaseFile reads a single-parameter reference database from
-// disk in either codec; an ensemble checkpoint is rejected (use
-// LoadReferencesFile when fusion may be in play).
-func LoadDatabaseFile(path string) (*dot11fp.Database, error) {
-	refs, err := LoadReferencesFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if refs.Ens != nil {
-		return nil, fmt.Errorf("%s: multi-parameter ensemble checkpoint where a single database was expected", path)
-	}
-	return refs.DB, nil
-}
-
 // LoadReferencesFile reads a reference set from disk in any codec,
 // sniffing the leading bytes: JSON documents open with '{' (possibly
 // after indentation a hand edit left behind), binary database
-// checkpoints with "D11FPDB", ensemble containers with "D11FPENS".
+// checkpoints with "D11FPDB", ensemble containers with "D11FPENS". A
+// single database loads as a one-member set.
 //
 // The path names a checkpoint generation chain (see
 // internal/checkpoint): when the current file is missing or corrupt,
@@ -416,25 +376,27 @@ func loadReferencesReader(r io.Reader) (References, error) {
 			br.Discard(1) // neither binary magic starts with whitespace
 			continue
 		}
-		var refs References
+		var db *dot11fp.Database
 		switch {
 		case head[0] == '{':
-			refs.DB, err = dot11fp.LoadDatabase(br)
+			db, err = dot11fp.LoadDatabase(br)
 		default:
 			// Both binary magics share the "D11FP" prefix; the extra
 			// bytes decide. A short file fails the Peek and falls through
 			// to the single-database loader's typed corruption error.
-			magic, _ := br.Peek(8)
-			if string(magic) == "D11FPENS" {
-				refs.Ens, err = dot11fp.LoadBinaryEnsemble(br)
-			} else {
-				refs.DB, err = dot11fp.LoadBinaryDatabase(br)
+			if magic, _ := br.Peek(8); string(magic) == "D11FPENS" {
+				ens, err := dot11fp.LoadBinaryEnsemble(br)
+				if err != nil {
+					return References{}, err
+				}
+				return References{Ens: ens}, nil
 			}
+			db, err = dot11fp.LoadBinaryDatabase(br)
 		}
 		if err != nil {
 			return References{}, err
 		}
-		return refs, nil
+		return FromDatabase(db), nil
 	}
 }
 
@@ -467,20 +429,15 @@ func VerifyReferencesHeader(r io.Reader) error {
 	}
 }
 
-// SaveDatabaseFile checkpoints a database to disk atomically: the
-// bytes land in a temporary file in the target directory which is then
-// fsynced, header-verified by re-reading, and renamed over path, so a
-// reader (or a crash) never observes a torn checkpoint — hot-swap
-// persistence. The codec follows the extension: .json writes the
-// interop JSON document, everything else the fast binary format.
-func SaveDatabaseFile(path string, db *dot11fp.Database) error {
-	return SaveReferencesCheckpoint(path, References{DB: db}, checkpoint.Options{})
-}
-
-// SaveReferencesFile is SaveDatabaseFile for a resolved reference set:
-// a single database checkpoints in either codec by extension; an
-// ensemble always writes the versioned binary container (there is no
-// JSON interop form for fused references — a .json path is rejected up
+// SaveReferencesFile checkpoints a reference set to disk atomically:
+// the bytes land in a temporary file in the target directory which is
+// then fsynced, header-verified by re-reading, and renamed over path,
+// so a reader (or a crash) never observes a torn checkpoint — hot-swap
+// persistence. A one-member set is written as its database, in the
+// codec the extension selects: .json writes the interop JSON document,
+// everything else the fast binary format. A set of several members
+// always writes the versioned binary container (there is no JSON
+// interop form for fused references — a .json path is rejected up
 // front rather than silently writing binary bytes under a lying name).
 func SaveReferencesFile(path string, refs References) error {
 	return SaveReferencesCheckpoint(path, refs, checkpoint.Options{})
@@ -493,21 +450,21 @@ func SaveReferencesFile(path string, refs References) error {
 // full disk. The written file is verified by re-reading its header
 // before the previous generation is disturbed.
 func SaveReferencesCheckpoint(path string, refs References, opts checkpoint.Options) error {
+	if refs.Ens == nil {
+		return fmt.Errorf("no references to checkpoint")
+	}
 	var write func(w io.Writer) error
-	switch {
-	case refs.Ens != nil:
+	if m := refs.Ens.Members(); len(m) == 1 {
+		if strings.EqualFold(filepath.Ext(path), ".json") {
+			write = m[0].Save
+		} else {
+			write = m[0].SaveBinary
+		}
+	} else {
 		if err := CheckEnsembleSave(path); err != nil {
 			return err
 		}
 		write = refs.Ens.SaveBinary
-	case refs.DB != nil:
-		if strings.EqualFold(filepath.Ext(path), ".json") {
-			write = refs.DB.Save
-		} else {
-			write = refs.DB.SaveBinary
-		}
-	default:
-		return fmt.Errorf("no references to checkpoint")
 	}
 	return checkpoint.SaveRetry(path, opts, write, VerifyReferencesHeader)
 }
@@ -528,7 +485,7 @@ func CheckEnsembleSave(path string) error {
 // daemon that discovers a typo'd -save directory only at its first
 // SIGHUP (or at shutdown) has already lost everything it learned. The
 // probe creates and removes a temp file beside the target, the same
-// write SaveDatabaseFile will later perform.
+// write SaveReferencesFile will later perform.
 func CheckSavePath(path string) error {
 	if info, err := os.Stat(path); err == nil && info.IsDir() {
 		return fmt.Errorf("checkpoint path %s is a directory", path)

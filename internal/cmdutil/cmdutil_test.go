@@ -63,8 +63,8 @@ func TestTrainFromStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refs.DB == nil || refs.Len() != 2 {
-		t.Fatalf("trained %d references, want 2 (db=%v)", refs.Len(), refs.DB)
+	if len(refs.Configs()) != 1 || refs.Len() != 2 {
+		t.Fatalf("trained %d references over %d members, want 2 over 1", refs.Len(), len(refs.Configs()))
 	}
 	if pending == nil {
 		t.Fatal("no boundary record returned")
@@ -80,8 +80,8 @@ func TestTrainFromStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.Ens == nil || !fused.Multi() || fused.Len() != 2 {
-		t.Fatalf("fused training: multi=%v len=%d", fused.Multi(), fused.Len())
+	if fused.Ens == nil || fused.Len() != 2 {
+		t.Fatalf("fused training: len=%d", fused.Len())
 	}
 	if got := fused.Configs(); len(got) != 2 || got[0].Param != dot11fp.ParamSize || got[1].Param != dot11fp.ParamRate {
 		t.Fatalf("fused configs = %v", got)
@@ -218,31 +218,32 @@ func TestEnrollFlagsNewTrainer(t *testing.T) {
 	}
 }
 
-// TestDatabaseFileRoundTrip covers SaveDatabaseFile/LoadDatabaseFile:
-// codec selection by extension, codec sniffing on load, and atomic
-// replacement of an existing checkpoint.
+// TestDatabaseFileRoundTrip covers SaveReferencesFile/LoadReferencesFile
+// over a one-member set: codec selection by extension (the binary form
+// is the single-database D11FPDB codec), codec sniffing on load, and
+// atomic replacement of an existing checkpoint.
 func TestDatabaseFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	refs, _, err := TrainFromStream(&sliceSource{recs: trainRecords(t, 120)}, time.Minute, singleParam, dot11fp.MeasureCosine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := refs.DB
+	seed := refs
 	dir := t.TempDir()
 	for _, name := range []string{"ref.json", "ref.db"} {
 		path := filepath.Join(dir, name)
 		// Twice: the second save must atomically replace the first.
 		for i := 0; i < 2; i++ {
-			if err := SaveDatabaseFile(path, seed); err != nil {
+			if err := SaveReferencesFile(path, seed); err != nil {
 				t.Fatalf("%s save %d: %v", name, i, err)
 			}
 		}
-		loaded, err := LoadDatabaseFile(path)
+		loaded, err := LoadReferencesFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if loaded.Len() != seed.Len() {
-			t.Fatalf("%s: %d references, want %d", name, loaded.Len(), seed.Len())
+		if loaded.Len() != seed.Len() || len(loaded.Configs()) != 1 {
+			t.Fatalf("%s: %d references over %d members, want %d over 1", name, loaded.Len(), len(loaded.Configs()), seed.Len())
 		}
 		left, err := filepath.Glob(filepath.Join(dir, name+".tmp*"))
 		if err != nil || len(left) != 0 {
@@ -262,7 +263,7 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 		if err := os.Chmod(path, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveDatabaseFile(path, seed); err != nil {
+		if err := SaveReferencesFile(path, seed); err != nil {
 			t.Fatal(err)
 		}
 		if info, err = os.Stat(path); err != nil {
@@ -276,8 +277,8 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 	if err != nil || head[0] != '{' {
 		t.Fatalf(".json checkpoint is not JSON (%v)", err)
 	}
-	if head, err = os.ReadFile(filepath.Join(dir, "ref.db")); err != nil || head[0] != 'D' {
-		t.Fatalf(".db checkpoint is not binary (%v)", err)
+	if head, err = os.ReadFile(filepath.Join(dir, "ref.db")); err != nil || !strings.HasPrefix(string(head), "D11FPDB") {
+		t.Fatalf(".db checkpoint of a one-member set is not a D11FPDB database (%v)", err)
 	}
 	// JSON with leading whitespace (a hand edit, a pretty-printer) must
 	// still sniff as JSON, not fail as corrupt binary.
@@ -289,17 +290,17 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(padded, append([]byte("\n  \t"), raw...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err := LoadDatabaseFile(padded); err != nil || loaded.Len() != seed.Len() {
+	if loaded, err := LoadReferencesFile(padded); err != nil || loaded.Len() != seed.Len() {
 		t.Fatalf("whitespace-padded JSON rejected: %v", err)
 	}
-	if _, err := LoadDatabaseFile(filepath.Join(dir, "missing.db")); err == nil {
+	if _, err := LoadReferencesFile(filepath.Join(dir, "missing.db")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	empty := filepath.Join(dir, "empty.db")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDatabaseFile(empty); err == nil {
+	if _, err := LoadReferencesFile(empty); err == nil {
 		t.Fatal("empty file accepted")
 	}
 }
@@ -313,9 +314,9 @@ func TestResolveReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := seedRefs.DB
+	seed := seedRefs.Ens.Members()[0]
 	path := filepath.Join(t.TempDir(), "ref.db")
-	if err := SaveDatabaseFile(path, seed); err != nil {
+	if err := SaveReferencesFile(path, seedRefs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,7 +346,7 @@ func TestResolveReferences(t *testing.T) {
 	}
 	cfgs, _, refs, _, err = ResolveReferences("test", "", time.Minute, "size,rate", "cosine",
 		EnrollFlags{}, &sliceSource{recs: trainRecords(t, 120)}, 1)
-	if err != nil || !refs.Multi() || len(cfgs) != 2 {
+	if err != nil || len(refs.Configs()) != 2 || len(cfgs) != 2 {
 		t.Fatalf("fused training resolution: refs=%+v cfgs=%v err=%v", refs, cfgs, err)
 	}
 
@@ -359,13 +360,13 @@ func TestResolveReferences(t *testing.T) {
 
 	// The trainer-vs-compiled split the commands feed engines with.
 	singleCfgs := []dot11fp.Config{seed.Config()}
-	if tr, cdb, cedb, err := (EnrollFlags{Enroll: true, Windows: 1}).EnrollOrCompile(singleCfgs, seed.Measure(), seedRefs); err != nil || tr == nil || cdb != nil || cedb != nil {
+	if tr, cedb, err := (EnrollFlags{Enroll: true, Windows: 1}).EnrollOrCompile(singleCfgs, seed.Measure(), seedRefs); err != nil || tr == nil || cedb != nil {
 		t.Fatal("enrolling resolution did not yield a trainer")
 	}
-	if tr, cdb, cedb, err := (EnrollFlags{}).EnrollOrCompile(singleCfgs, seed.Measure(), seedRefs); err != nil || tr != nil || cdb == nil || cedb != nil {
-		t.Fatal("static resolution did not yield a compiled database")
+	if tr, cedb, err := (EnrollFlags{}).EnrollOrCompile(singleCfgs, seed.Measure(), seedRefs); err != nil || tr != nil || cedb == nil || len(cedb.Members()) != 1 {
+		t.Fatal("static resolution did not yield a compiled one-member set")
 	}
-	if tr, cdb, cedb, err := (EnrollFlags{}).EnrollOrCompile(singleCfgs, seed.Measure(), References{}); err != nil || tr != nil || cdb != nil || cedb != nil {
+	if tr, cedb, err := (EnrollFlags{}).EnrollOrCompile(singleCfgs, seed.Measure(), References{}); err != nil || tr != nil || cedb != nil {
 		t.Fatal("empty resolution yielded references from nothing")
 	}
 	fused, _, err := TrainFromStream(&sliceSource{recs: trainRecords(t, 120)}, time.Minute,
@@ -373,10 +374,10 @@ func TestResolveReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr, cdb, cedb, err := (EnrollFlags{}).EnrollOrCompile(fused.Configs(), fused.Measure(), fused); err != nil || tr != nil || cdb != nil || cedb == nil {
+	if tr, cedb, err := (EnrollFlags{}).EnrollOrCompile(fused.Configs(), fused.Measure(), fused); err != nil || tr != nil || cedb == nil {
 		t.Fatal("fused static resolution did not yield a compiled ensemble")
 	}
-	if tr, _, _, err := (EnrollFlags{Enroll: true, Windows: 1}).EnrollOrCompile(fused.Configs(), fused.Measure(), fused); err != nil || tr == nil || tr.Ensemble() == nil {
+	if tr, _, err := (EnrollFlags{Enroll: true, Windows: 1}).EnrollOrCompile(fused.Configs(), fused.Measure(), fused); err != nil || tr == nil || tr.Ensemble() == nil {
 		t.Fatal("fused enrolling resolution did not yield an ensemble trainer")
 	}
 }
@@ -400,16 +401,16 @@ func TestEnsembleReferencesFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Multi() || loaded.Len() != fused.Len() {
-		t.Fatalf("loaded refs: multi=%v len=%d, want multi len=%d", loaded.Multi(), loaded.Len(), fused.Len())
+	if loaded.Len() != fused.Len() {
+		t.Fatalf("loaded refs: len=%d, want %d", loaded.Len(), fused.Len())
 	}
-	if got := loaded.Configs(); got[0].Param != dot11fp.ParamSize || got[1].Param != dot11fp.ParamRate {
+	// The container loads as the whole fused set, never misparsed as a
+	// single database.
+	if got := loaded.Configs(); len(got) != 2 || got[0].Param != dot11fp.ParamSize || got[1].Param != dot11fp.ParamRate {
 		t.Fatalf("loaded configs = %v", got)
 	}
-	// The single-database loader refuses an ensemble container rather
-	// than misparsing it.
-	if _, err := LoadDatabaseFile(path); err == nil {
-		t.Fatal("LoadDatabaseFile accepted an ensemble container")
+	if head, err := os.ReadFile(path); err != nil || !strings.HasPrefix(string(head), "D11FPENS") {
+		t.Fatalf("fused checkpoint is not the ensemble container (%v)", err)
 	}
 	// No JSON interop form for ensembles: fail fast, write nothing.
 	jsonPath := filepath.Join(dir, "fused.json")

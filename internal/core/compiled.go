@@ -359,50 +359,6 @@ func (c *CompiledDB) TopK(candidate *Signature, k int) []Score {
 	return out
 }
 
-// TopKAllScratch ranks a batch of candidates through one long-lived
-// scratch, returning min(k, Len()) scores per candidate in one backing
-// allocation. Row i is exactly TopK(cands[i].Sig, k).
-func (c *CompiledDB) TopKAllScratch(cands []Candidate, k int, scratch *MatchScratch) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	kk := min(k, len(c.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	for i := range cands {
-		res := c.TopKInto(cands[i].Sig, k, scratch)
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
-	}
-	return out
-}
-
-// TopKAllWorkers is TopKAllScratch fanned out across workers (0 selects
-// GOMAXPROCS, 1 forces the serial path); results are identical for
-// every worker count.
-func (c *CompiledDB) TopKAllWorkers(cands []Candidate, k, workers int) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	kk := min(k, len(c.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	ForEachIndex(len(cands), workers, func(scratch *MatchScratch, i int) {
-		res := c.TopKInto(cands[i].Sig, k, scratch)
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
-	})
-	return out
-}
-
 // IndexStats describes the snapshot's match index; Enabled is false on
 // the dense path, where DenseBytes reports the matrices actually held.
 func (c *CompiledDB) IndexStats() IndexStats {
@@ -441,26 +397,6 @@ func (c *CompiledDB) MatchAllWorkers(cands []Candidate, workers int) [][]Score {
 		copy(row, c.MatchInto(cands[i].Sig, scratch))
 		out[i] = row
 	})
-	return out
-}
-
-// MatchAllScratch is the serial, caller-scratch form of MatchAll, built
-// for per-shard reuse: one long-lived scratch per shard amortises the
-// internal buffers across every window, while the returned rows (one
-// backing allocation per call) are handed off to the caller and never
-// aliased again. Row i is exactly Match(cands[i].Sig).
-func (c *CompiledDB) MatchAllScratch(cands []Candidate, scratch *MatchScratch) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	n := len(c.addrs)
-	backing := make([]Score, len(cands)*n)
-	for i := range cands {
-		row := backing[i*n : (i+1)*n : (i+1)*n]
-		copy(row, c.MatchInto(cands[i].Sig, scratch))
-		out[i] = row
-	}
 	return out
 }
 

@@ -12,7 +12,8 @@ import (
 // MaxEnsembleMembers bounds the member count of an ensemble: members
 // must carry distinct parameters — the paper's five plus the three
 // probe-content parameters — so an ensemble can never combine more.
-// Fixed-size per-record buffers in the streaming paths are sized by it.
+// The streaming paths' per-record validity mask (MemberValues) holds one
+// bit per member in a uint8, so the bound must stay at most 8.
 const MaxEnsembleMembers = 8
 
 // validateEnsembleConfigs applies the shared member rules: at least one
@@ -252,7 +253,7 @@ type MultiCandidate struct {
 func (e *Ensemble) CandidatesIn(tr *capture.Trace, window interface{ Microseconds() int64 }) []MultiCandidate {
 	var out []MultiCandidate
 	acc, err := NewEnsembleAccumulator(time.Duration(window.Microseconds())*time.Microsecond, e.Configs(),
-		func(w *WindowResult) { out = append(out, w.Multi...) })
+		func(w *WindowResult) { out = append(out, w.Candidates...) })
 	if err != nil {
 		return nil // member configs were validated at construction; unreachable
 	}

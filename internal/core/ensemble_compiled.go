@@ -89,6 +89,17 @@ func (e *Ensemble) Compile() *CompiledEnsemble {
 	return e.compiled
 }
 
+// EnsembleOf wraps a compiled database as a one-member
+// CompiledEnsemble — the form every engine matches through, so a
+// single-parameter run is an ensemble of one. Its fused scores, top-k
+// and best match equal the member's bit for bit. A nil db yields nil.
+func EnsembleOf(db *CompiledDB) *CompiledEnsemble {
+	if db == nil {
+		return nil
+	}
+	return compileEnsemble([]*CompiledDB{db})
+}
+
 // compileEnsemble resolves the fused reference set from frozen member
 // snapshots.
 func compileEnsemble(members []*CompiledDB) *CompiledEnsemble {
@@ -206,11 +217,16 @@ func (ce *CompiledEnsemble) MatchInto(c MultiCandidate, s *EnsembleScratch) (fus
 	for m, cdb := range ce.members {
 		s.rows[m] = cdb.MatchInto(c.Sigs[m], &s.member[m])
 	}
+	if len(ce.members) == 1 {
+		// An ensemble of one: the member's vector, over the same
+		// references in the same order, is the fused vector bit for bit.
+		return s.rows[0], s.rows
+	}
 	fused = s.fused[:len(ce.addrs)]
 	div := float64(len(ce.members))
 	for i, addr := range ce.addrs {
-		sum := 0.0
-		for m := range ce.members {
+		sum := s.rows[0][ce.rowIdx[0][i]].Sim // summed exactly as scoreFused sums
+		for m := 1; m < len(ce.members); m++ {
 			sum += s.rows[m][ce.rowIdx[m][i]].Sim
 		}
 		fused[i] = Score{Addr: addr, Sim: sum / div}
@@ -269,35 +285,12 @@ func (ce *CompiledEnsemble) MatchAll(cands []MultiCandidate) (fused [][]Score, p
 // fused (and perParam[i][m] per member) is exactly Match(cands[i]) —
 // every row is computed independently and written at its own index, so
 // worker scheduling cannot affect the output. Rows share per-call
-// backing allocations and are handed off to the caller, never reused.
+// backing allocations and are handed off to the caller, never reused;
+// in an ensemble of one, perParam[i][0] is fused[i] itself.
 func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int) (fused [][]Score, perParam [][][]Score) {
-	fused = make([][]Score, len(cands))
-	perParam = make([][][]Score, len(cands))
-	if len(cands) == 0 {
-		return fused, perParam
-	}
-	n := len(ce.addrs)
-	fusedBacking := make([]Score, len(cands)*n)
-	memberBacking := make([][]Score, len(ce.members))
-	rowBacking := make([][]Score, len(cands)*len(ce.members))
-	for m, cdb := range ce.members {
-		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
-	}
-	forEachEnsembleIndex(len(cands), workers, func(s *EnsembleScratch, i int) {
-		f, rows := ce.MatchInto(cands[i], s)
-		frow := fusedBacking[i*n : (i+1)*n : (i+1)*n]
-		copy(frow, f)
-		fused[i] = frow
-		prows := rowBacking[i*len(ce.members) : (i+1)*len(ce.members) : (i+1)*len(ce.members)]
-		for m, cdb := range ce.members {
-			k := cdb.Len()
-			mrow := memberBacking[m][i*k : (i+1)*k : (i+1)*k]
-			copy(mrow, rows[m])
-			prows[m] = mrow
-		}
-		perParam[i] = prows
+	return ce.matchAll(cands, func(row func(s *EnsembleScratch, i int)) {
+		forEachEnsembleIndex(len(cands), workers, row)
 	})
-	return fused, perParam
 }
 
 // MatchAllScratch is the serial, caller-scratch form of MatchAll, built
@@ -305,32 +298,48 @@ func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int)
 // buffers across every window, while the returned rows (per-call
 // backing) are handed off to the caller and never aliased again.
 func (ce *CompiledEnsemble) MatchAllScratch(cands []MultiCandidate, s *EnsembleScratch) (fused [][]Score, perParam [][][]Score) {
+	return ce.matchAll(cands, func(row func(s *EnsembleScratch, i int)) {
+		for i := range cands {
+			row(s, i)
+		}
+	})
+}
+
+// matchAll is the batch body behind MatchAllWorkers and MatchAllScratch:
+// each drives row over every candidate index with a scratch.
+func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(s *EnsembleScratch, i int))) (fused [][]Score, perParam [][][]Score) {
 	fused = make([][]Score, len(cands))
 	perParam = make([][][]Score, len(cands))
 	if len(cands) == 0 {
 		return fused, perParam
 	}
-	n := len(ce.addrs)
+	n, nm := len(ce.addrs), len(ce.members)
 	fusedBacking := make([]Score, len(cands)*n)
-	memberBacking := make([][]Score, len(ce.members))
-	rowBacking := make([][]Score, len(cands)*len(ce.members))
-	for m, cdb := range ce.members {
-		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
+	rowBacking := make([][]Score, len(cands)*nm)
+	memberBacking := make([][]Score, nm)
+	if nm > 1 {
+		for m, cdb := range ce.members {
+			memberBacking[m] = make([]Score, len(cands)*cdb.Len())
+		}
 	}
-	for i := range cands {
+	each(func(s *EnsembleScratch, i int) {
 		f, rows := ce.MatchInto(cands[i], s)
 		frow := fusedBacking[i*n : (i+1)*n : (i+1)*n]
 		copy(frow, f)
 		fused[i] = frow
-		prows := rowBacking[i*len(ce.members) : (i+1)*len(ce.members) : (i+1)*len(ce.members)]
-		for m, cdb := range ce.members {
-			k := cdb.Len()
-			mrow := memberBacking[m][i*k : (i+1)*k : (i+1)*k]
-			copy(mrow, rows[m])
-			prows[m] = mrow
+		prows := rowBacking[i*nm : (i+1)*nm : (i+1)*nm]
+		if nm == 1 {
+			prows[0] = frow // the member's vector is the fused one
+		} else {
+			for m, cdb := range ce.members {
+				k := cdb.Len()
+				mrow := memberBacking[m][i*k : (i+1)*k : (i+1)*k]
+				copy(mrow, rows[m])
+				prows[m] = mrow
+			}
 		}
 		perParam[i] = prows
-	}
+	})
 	return fused, perParam
 }
 
@@ -364,9 +373,11 @@ func (ce *CompiledEnsemble) indexedAll() bool {
 // the same division MatchInto performs — bit-identical to fusing the
 // members' full vectors.
 func (ce *CompiledEnsemble) scoreFused(i int, s *EnsembleScratch, div float64) float64 {
-	sum := 0.0
-	for m, cdb := range ce.members {
-		sum += cdb.scoreRef(ce.rowIdx[m][i], s.member[m].search)
+	// The sum starts from member 0's score, not from 0.0, so an ensemble
+	// of one reproduces its member bit for bit (0.0 + -0 is +0).
+	sum := ce.members[0].scoreRef(ce.rowIdx[0][i], s.member[0].search)
+	for m := 1; m < len(ce.members); m++ {
+		sum += ce.members[m].scoreRef(ce.rowIdx[m][i], s.member[m].search)
 	}
 	return sum / div
 }

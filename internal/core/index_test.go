@@ -276,22 +276,26 @@ func TestIndexAuto(t *testing.T) {
 	}
 }
 
-// TestTopKBatchConsistent pins the batch top-k entry points against the
-// one-shot path for every worker count.
+// TestTopKBatchConsistent pins the batch top-k entry points the engines
+// use — a single database runs as an ensemble of one — against the
+// database's one-shot path for every worker count.
 func TestTopKBatchConsistent(t *testing.T) {
 	db, cands := synthDB(600, 12, MeasureCosine, IndexOn)
 	c := db.Compile()
-	var scratch MatchScratch
+	ce := EnsembleOf(c)
+	mcands := make([]MultiCandidate, len(cands))
 	want := make([][]Score, len(cands))
 	for i := range cands {
 		want[i] = c.TopK(cands[i].Sig, 4)
+		mcands[i] = MultiCandidate{Addr: cands[i].Addr, Sigs: []*Signature{cands[i].Sig}}
 	}
-	got := c.TopKAllScratch(cands, 4, &scratch)
+	var scratch EnsembleScratch
+	got := ce.TopKAllScratch(mcands, 4, &scratch)
 	for i := range want {
 		sameScores(t, "TopKAllScratch", want[i], got[i])
 	}
 	for _, workers := range []int{1, 3, 8} {
-		got := c.TopKAllWorkers(cands, 4, workers)
+		got := ce.TopKAllWorkers(mcands, 4, workers)
 		for i := range want {
 			sameScores(t, "TopKAllWorkers", want[i], got[i])
 		}

@@ -9,8 +9,9 @@ import (
 
 // BenchmarkMatchAllScale sweeps synthetic reference databases of
 // 1k/10k/100k devices (16 candidates per window, the batch a detection
-// window hands the matcher) and is the curve behind the indexed-matching
-// claims:
+// window hands the matcher), matched as the engines match a single
+// database — an ensemble of one — and is the curve behind the
+// indexed-matching claims:
 //
 //   - indexed-topk: the pruned top-4 search — the per-window match cost
 //     when the engines run with Options.TopK. Sublinear in N: the term
@@ -27,8 +28,8 @@ import (
 // pair and fails if the indexed search stops beating the exhaustive scan.
 func BenchmarkMatchAllScale(b *testing.B) {
 	type fixture struct {
-		c     *CompiledDB
-		cands []Candidate
+		c     *CompiledEnsemble
+		cands []MultiCandidate
 	}
 	cache := map[string]*fixture{}
 	get := func(n int, mode IndexMode) *fixture {
@@ -40,7 +41,10 @@ func BenchmarkMatchAllScale(b *testing.B) {
 			// compiled snapshot, and release the rest before timing.
 			prev := debug.SetGCPercent(-1)
 			db, cands := synthDB(n, 16, MeasureCosine, mode)
-			fx = &fixture{c: db.Compile(), cands: cands}
+			fx = &fixture{c: EnsembleOf(db.Compile())}
+			for _, c := range cands {
+				fx.cands = append(fx.cands, MultiCandidate{Addr: c.Addr, Sigs: []*Signature{c.Sig}})
+			}
 			cache[key] = fx
 			debug.SetGCPercent(prev)
 			runtime.GC()
@@ -50,7 +54,7 @@ func BenchmarkMatchAllScale(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("N=%d/indexed-topk", n), func(b *testing.B) {
 			fx := get(n, IndexOn)
-			var scratch MatchScratch
+			var scratch EnsembleScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fx.c.TopKAllScratch(fx.cands, 4, &scratch)
@@ -58,7 +62,7 @@ func BenchmarkMatchAllScale(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("N=%d/indexed-full", n), func(b *testing.B) {
 			fx := get(n, IndexOn)
-			var scratch MatchScratch
+			var scratch EnsembleScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fx.c.MatchAllScratch(fx.cands, &scratch)
@@ -69,7 +73,7 @@ func BenchmarkMatchAllScale(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("N=%d/exhaustive", n), func(b *testing.B) {
 			fx := get(n, IndexOff)
-			var scratch MatchScratch
+			var scratch EnsembleScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fx.c.MatchAllScratch(fx.cands, &scratch)

@@ -29,7 +29,7 @@ type SenderLimits struct {
 }
 
 // senderEntry is one tracked sender: its accumulating signatures (one
-// per ensemble member; a single-parameter table holds one) and the
+// per member) and the
 // record time it was last seen, for recency-based eviction.
 type senderEntry struct {
 	sigs  []*Signature
@@ -41,19 +41,15 @@ type senderEntry struct {
 // WindowAccumulator, split out so a sharded engine can own one table
 // per shard and clock them externally.
 //
-// A table runs in one of two modes, fixed at construction. The
-// single-parameter mode (NewSenderTable) keeps one signature per sender
-// and drains candidates into WindowResult.Candidates. The ensemble mode
-// (NewEnsembleSenderTable) keeps one signature per member parameter per
-// sender — all members share the sender's eviction recency, so bounded
-// state evicts a sender whole, never one member of it — and drains
-// multi-parameter candidates into WindowResult.Multi.
+// A table keeps one signature per member parameter per sender (a
+// single-parameter table is an ensemble of one). All members share the
+// sender's eviction recency, so bounded state evicts a sender whole,
+// never one member of it.
 //
-// Observe, ObserveN and Drain must be called from a single goroutine;
+// Observe and Drain must be called from a single goroutine;
 // LiveSenders is safe to read from any goroutine.
 type SenderTable struct {
-	cfgs    []Config // one per member; single-parameter tables hold one
-	multi   bool     // drain into WindowResult.Multi instead of Candidates
+	cfgs    []Config // one per member
 	limits  SenderLimits
 	idleUs  int64
 	entries map[dot11.Addr]*senderEntry
@@ -88,27 +84,16 @@ type evictCand struct {
 	lastT int64
 }
 
-// NewSenderTable creates a single-parameter table extracting signatures
-// under cfg (zero fields materialised as everywhere else) with the
-// given bounds.
-func NewSenderTable(cfg Config, limits SenderLimits) *SenderTable {
-	return newSenderTable([]Config{cfg}, false, limits)
-}
-
-// NewEnsembleSenderTable creates an ensemble table accumulating one
-// signature per member configuration per sender. Member configurations
-// must carry distinct parameters (at most MaxEnsembleMembers).
-func NewEnsembleSenderTable(cfgs []Config, limits SenderLimits) (*SenderTable, error) {
+// NewSenderTable creates a table accumulating one signature per member
+// configuration per sender (zero fields materialised as everywhere
+// else) with the given bounds. Member configurations must carry
+// distinct parameters (at most MaxEnsembleMembers).
+func NewSenderTable(cfgs []Config, limits SenderLimits) (*SenderTable, error) {
 	if err := validateEnsembleConfigs(cfgs); err != nil {
 		return nil, err
 	}
-	return newSenderTable(cfgs, true, limits), nil
-}
-
-func newSenderTable(cfgs []Config, multi bool, limits SenderLimits) *SenderTable {
 	t := &SenderTable{
 		cfgs:    make([]Config, len(cfgs)),
-		multi:   multi,
 		limits:  limits,
 		idleUs:  limits.IdleEvict.Microseconds(),
 		entries: make(map[dot11.Addr]*senderEntry),
@@ -117,15 +102,11 @@ func newSenderTable(cfgs []Config, multi bool, limits SenderLimits) *SenderTable
 	for i, cfg := range cfgs {
 		t.cfgs[i] = cfg.withDefaults()
 	}
-	return t
+	return t, nil
 }
 
-// Config returns the extraction configuration with defaults
-// materialised (the first member's, for ensemble tables).
-func (t *SenderTable) Config() Config { return t.cfgs[0] }
-
 // Configs returns every member configuration with defaults
-// materialised, in member order. Single-parameter tables return one.
+// materialised, in member order.
 func (t *SenderTable) Configs() []Config {
 	out := make([]Config, len(t.cfgs))
 	copy(out, t.cfgs)
@@ -182,30 +163,22 @@ func (t *SenderTable) entry(addr dot11.Addr, now int64) *senderEntry {
 	return e
 }
 
-// Observe adds one attributed observation: the value v of class,
-// transmitted by addr in the record whose end of reception is now (µs,
-// record time). Callers have already applied the attribution rules and
-// computed the parameter value — WindowAccumulator for the serial
-// paths, the sharded engine's router for the concurrent one.
+// Observe adds one record's attributed observations for every member
+// at once: vals[m] is member m's parameter value, applied only where
+// bit m of the valid mask is set (a parameter can be undefined for a record — e.g.
+// inter-arrival at a window start — without hiding the record from the
+// members where it is defined). Callers have already applied the
+// attribution rules and computed the values (MemberValues) —
+// WindowAccumulator for the serial paths, the sharded engine's router
+// for the concurrent one. Call only when at least one member is valid,
+// so sender recency, eviction and entry creation stay a deterministic
+// function of the attributed record stream.
 //
 //fp:hotpath test=TestEnginePushZeroAllocs
-func (t *SenderTable) Observe(addr dot11.Addr, class dot11.Class, v float64, now int64) {
-	t.entry(addr, now).sigs[0].Add(class, v)
-}
-
-// ObserveN adds one record's attributed observations for every ensemble
-// member at once: vals[m] is member m's parameter value, applied only
-// where valid[m] is true (a parameter can be undefined for a record —
-// e.g. inter-arrival at a window start — without hiding the record from
-// the members where it is defined). Call only when at least one member
-// is valid, so sender recency, eviction and entry creation stay a
-// deterministic function of the attributed record stream.
-//
-//fp:hotpath test=TestEnsemblePushZeroAllocs
-func (t *SenderTable) ObserveN(addr dot11.Addr, class dot11.Class, vals []float64, valid []bool, now int64) {
+func (t *SenderTable) Observe(addr dot11.Addr, class dot11.Class, vals []float64, valid uint8, now int64) {
 	e := t.entry(addr, now)
 	for m := range t.cfgs {
-		if valid[m] {
+		if valid&(1<<m) != 0 {
 			e.sigs[m].Add(class, vals[m])
 		}
 	}
@@ -258,7 +231,7 @@ func (t *SenderTable) evictOldest() {
 }
 
 // maxObs returns the largest observation count across member
-// signatures — the ensemble reporting convention: how much traffic was
+// signatures — the reporting convention: how much traffic was
 // attributed to the sender under its best-covered parameter (members
 // differ only through per-parameter value validity).
 func maxObs(sigs []*Signature) uint64 {
@@ -295,9 +268,9 @@ func (t *SenderTable) evict(addr dot11.Addr, e *senderEntry) {
 }
 
 // qualifies reports whether an entry clears the minimum-observation
-// rule — for an ensemble, of every member (a sender clearing some
-// members but not all stays a Dropped sender, never a candidate: the
-// all-members requirement is explicit here).
+// rule of every member (a sender clearing some members but not all
+// stays a Dropped sender, never a candidate: the all-members
+// requirement is explicit here).
 func (t *SenderTable) qualifies(e *senderEntry) bool {
 	for m, cfg := range t.cfgs {
 		if e.sigs[m].Observations() < uint64(cfg.MinObservations) {
@@ -308,24 +281,20 @@ func (t *SenderTable) qualifies(e *senderEntry) bool {
 }
 
 // Drain moves the table's state into res: senders that cleared the
-// minimum-observation rule — of every member, for ensemble tables —
-// become res.Candidates (single-parameter mode) or res.Multi (ensemble
-// mode), ascending by address with res.Index as their window; the rest
-// plus every evicted sender become res.Dropped (ascending address;
+// minimum-observation rule of every member become res.Candidates,
+// ascending by address with res.Index as their window; the rest plus
+// every evicted sender become res.Dropped (ascending address;
 // below-minimum entries sort before evicted ones at equal addresses).
-// A dropped ensemble sender reports its best member's observation
-// count. The table is reset for the next window; everything in res is
-// handed off without aliasing.
+// A dropped sender reports its best member's observation count. The
+// table is reset for the next window; everything in res is handed off
+// without aliasing.
 func (t *SenderTable) Drain(res *WindowResult) {
 	for _, addr := range sortedAddrs(t.entries) {
 		e := t.entries[addr]
-		switch {
-		case !t.qualifies(e):
+		if t.qualifies(e) {
+			res.Candidates = append(res.Candidates, MultiCandidate{Addr: addr, Window: res.Index, Sigs: e.sigs})
+		} else {
 			res.Dropped = append(res.Dropped, DroppedSender{Addr: addr, Observations: maxObs(e.sigs)})
-		case t.multi:
-			res.Multi = append(res.Multi, MultiCandidate{Addr: addr, Window: res.Index, Sigs: e.sigs})
-		default:
-			res.Candidates = append(res.Candidates, Candidate{Addr: addr, Window: res.Index, Sig: e.sigs[0]})
 		}
 	}
 	if len(t.evicted) > 0 {

@@ -8,6 +8,20 @@ import (
 	"dot11fp/internal/dot11"
 )
 
+// newTable1 creates a single-parameter table — an ensemble of one.
+func newTable1(cfg Config, limits SenderLimits) *SenderTable {
+	t, err := NewSenderTable([]Config{cfg}, limits)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// observe1 adds one single-parameter observation.
+func observe1(t *SenderTable, addr dot11.Addr, class dot11.Class, v float64, now int64) {
+	t.Observe(addr, class, []float64{v}, 1, now)
+}
+
 // TestSenderTableCapChurn is the bounded-memory acceptance test: 100k
 // distinct randomized MACs stream through a capped table and the live
 // sender count — the signature memory — never exceeds the cap, while
@@ -15,14 +29,14 @@ import (
 func TestSenderTableCapChurn(t *testing.T) {
 	t.Parallel()
 	const cap = 1024
-	tab := NewSenderTable(Config{Param: ParamSize}, SenderLimits{MaxSenders: cap})
+	tab := newTable1(Config{Param: ParamSize}, SenderLimits{MaxSenders: cap})
 	x := uint64(7)
 	seen := make(map[dot11.Addr]bool)
 	for i := 0; i < 100_000; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		addr := dot11.LocalAddr(x >> 16)
 		seen[addr] = true
-		tab.Observe(addr, dot11.ClassData, 300, int64(i)*100)
+		observe1(tab, addr, dot11.ClassData, 300, int64(i)*100)
 		if tab.Len() > cap {
 			t.Fatalf("after %d observations the table holds %d senders, cap is %d", i+1, tab.Len(), cap)
 		}
@@ -68,16 +82,16 @@ func TestSenderTableCapChurn(t *testing.T) {
 // sweep, while active senders survive.
 func TestSenderTableIdleEvict(t *testing.T) {
 	t.Parallel()
-	tab := NewSenderTable(Config{Param: ParamSize}, SenderLimits{IdleEvict: time.Second})
+	tab := newTable1(Config{Param: ParamSize}, SenderLimits{IdleEvict: time.Second})
 	quiet := dot11.LocalAddr(1)
 	busy := dot11.LocalAddr(2)
-	tab.Observe(quiet, dot11.ClassData, 100, 0)
+	observe1(tab, quiet, dot11.ClassData, 100, 0)
 	for i := 0; i < 100; i++ {
-		tab.Observe(busy, dot11.ClassData, 100, int64(i)*100_000) // every 100 ms
+		observe1(tab, busy, dot11.ClassData, 100, int64(i)*100_000) // every 100 ms
 	}
 	// A new sender 10 s in triggers the sweep; quiet (last seen at 0)
 	// is over the 1 s bound, busy is not.
-	tab.Observe(dot11.LocalAddr(3), dot11.ClassData, 100, 10_000_000)
+	observe1(tab, dot11.LocalAddr(3), dot11.ClassData, 100, 10_000_000)
 	if tab.Len() != 2 {
 		t.Fatalf("table holds %d senders, want 2 (busy + newcomer)", tab.Len())
 	}
@@ -106,12 +120,12 @@ func TestSenderTableIdleEvict(t *testing.T) {
 // ages out on the busy sender's traffic alone.
 func TestSenderTableIdleEvictStablePopulation(t *testing.T) {
 	t.Parallel()
-	tab := NewSenderTable(Config{Param: ParamSize}, SenderLimits{IdleEvict: time.Second})
+	tab := newTable1(Config{Param: ParamSize}, SenderLimits{IdleEvict: time.Second})
 	quiet := dot11.LocalAddr(1)
 	busy := dot11.LocalAddr(2)
-	tab.Observe(quiet, dot11.ClassData, 100, 0)
+	observe1(tab, quiet, dot11.ClassData, 100, 0)
 	for i := 0; i < 100; i++ {
-		tab.Observe(busy, dot11.ClassData, 100, int64(i)*100_000) // every 100 ms, no newcomers
+		observe1(tab, busy, dot11.ClassData, 100, int64(i)*100_000) // every 100 ms, no newcomers
 	}
 	if tab.Len() != 1 {
 		t.Fatalf("table holds %d senders after 10 s of stable traffic, want 1 (quiet evicted)", tab.Len())
@@ -178,7 +192,7 @@ func TestAccumulatorLimitsEquivalence(t *testing.T) {
 
 	// Unbounded: identical to the pre-limit behaviour (CandidatesIn).
 	unbounded := run(SenderLimits{})
-	var cands []Candidate
+	var cands []MultiCandidate
 	for _, w := range unbounded {
 		cands = append(cands, w.Candidates...)
 	}

@@ -27,16 +27,13 @@ type WindowResult struct {
 	// Frames is the number of records scanned in the window, whether
 	// or not they were attributed to a sender.
 	Frames int
-	// Candidates are the senders that cleared MinObservations
-	// (single-parameter pipelines; empty in ensemble mode).
-	Candidates []Candidate
-	// Multi are the multi-parameter candidates of an ensemble pipeline:
-	// senders that cleared every member's minimum-observation rule, one
-	// signature per member (empty in single-parameter mode).
-	Multi []MultiCandidate
-	// Dropped are the senders that did not clear the rule — for an
-	// ensemble, senders that cleared some members but not all are
-	// dropped too, reported with their best member's observation count.
+	// Candidates are the senders that cleared every member's
+	// MinObservations, one signature per member parameter (one for a
+	// single-parameter pipeline).
+	Candidates []MultiCandidate
+	// Dropped are the senders that did not clear the rule — senders
+	// that cleared some members but not all are dropped too, reported
+	// with their best member's observation count.
 	Dropped []DroppedSender
 	// EvictedSilently counts evictions beyond the per-window record
 	// cap: they are tallied (here and in the engines' counters) but
@@ -157,78 +154,60 @@ func (c *WindowClock) meta() WindowMeta {
 // resets at each boundary — byte-for-byte the semantics of the batch
 // path, which is itself implemented on top of this type.
 //
+// One window clock and one shared inter-arrival context drive the
+// extraction of every member parameter in a single pass, so each
+// sender accumulates one signature per member per window; a
+// single-parameter accumulator is an ensemble of one.
+//
 // Push and Flush must be called from a single goroutine; LiveSenders
 // and WindowsClosed are safe to read from any goroutine.
 type WindowAccumulator struct {
-	cfg     Config
-	cfgs    []Config // ensemble members; nil in single-parameter mode
+	cfgs    []Config
 	clock   WindowClock
 	emit    func(*WindowResult)
 	table   *SenderTable
 	cluster *Clusterer // nil = no MAC-randomization clustering
 
-	// Reusable per-record member value buffers (ensemble mode only), so
-	// the multi-parameter push path allocates nothing per frame.
-	vals  []float64
-	valid []bool
+	// Reusable per-record member value buffer, so the push path
+	// allocates nothing per frame.
+	vals []float64
 
 	windows atomic.Int64 // windows emitted so far
 }
 
-// NewWindowAccumulator creates an accumulator emitting each closed
+// NewWindowAccumulator creates a single-parameter accumulator — an
+// ensemble of one (see NewEnsembleAccumulator) — emitting each closed
 // window to emit (which may be nil to discard results — useful only
 // for measurement). The config's zero fields are materialised exactly
 // as the batch extraction paths do.
 func NewWindowAccumulator(window time.Duration, cfg Config, emit func(*WindowResult)) *WindowAccumulator {
-	a := &WindowAccumulator{
-		clock: NewWindowClock(window),
-		emit:  emit,
-	}
-	a.table = NewSenderTable(cfg, SenderLimits{})
-	a.cfg = a.table.Config()
+	a, _ := NewEnsembleAccumulator(window, []Config{cfg}, emit) // one member always validates
 	return a
 }
 
-// NewEnsembleAccumulator creates a multi-parameter accumulator: one
-// window clock and one shared inter-arrival context drive the
-// extraction of every member parameter in a single pass over the
-// record stream, so each sender accumulates one signature per member
-// per window. Closed windows emit their fully-qualified senders as
-// WindowResult.Multi (all members' minimum-observation rules cleared);
-// senders clearing only some members surface in WindowResult.Dropped
-// instead of silently vanishing. Member configurations must carry
-// distinct parameters.
+// NewEnsembleAccumulator creates an accumulator over the member
+// configurations. Closed windows emit their fully-qualified senders as
+// WindowResult.Candidates (all members' minimum-observation rules
+// cleared); senders clearing only some members surface in
+// WindowResult.Dropped instead of silently vanishing. Member
+// configurations must carry distinct parameters.
 func NewEnsembleAccumulator(window time.Duration, cfgs []Config, emit func(*WindowResult)) (*WindowAccumulator, error) {
-	table, err := NewEnsembleSenderTable(cfgs, SenderLimits{})
+	table, err := NewSenderTable(cfgs, SenderLimits{})
 	if err != nil {
 		return nil, err
 	}
-	a := &WindowAccumulator{
+	return &WindowAccumulator{
+		cfgs:  table.Configs(),
 		clock: NewWindowClock(window),
 		emit:  emit,
 		table: table,
 		vals:  make([]float64, len(cfgs)),
-		valid: make([]bool, len(cfgs)),
-	}
-	a.cfgs = table.Configs()
-	a.cfg = a.cfgs[0]
-	return a, nil
+	}, nil
 }
-
-// Config returns the extraction configuration with defaults materialised
-// (the first member's, in ensemble mode).
-func (a *WindowAccumulator) Config() Config { return a.cfg }
 
 // Configs returns every member configuration with defaults
-// materialised, or nil for a single-parameter accumulator.
-func (a *WindowAccumulator) Configs() []Config {
-	if a.cfgs == nil {
-		return nil
-	}
-	out := make([]Config, len(a.cfgs))
-	copy(out, a.cfgs)
-	return out
-}
+// materialised, in member order.
+func (a *WindowAccumulator) Configs() []Config { return a.table.Configs() }
 
 // SetClusterer routes attribution through a MAC-randomization
 // clusterer: every attributable record's sender is resolved to its
@@ -259,67 +238,54 @@ func (a *WindowAccumulator) WindowsClosed() int { return int(a.windows.Load()) }
 // boundary closes the previous window (emitting its WindowResult)
 // before the record is accounted to the new one.
 //
+// Attribution resolves the sender through the clusterer first, for
+// every record with a sender, and only then computes the member values
+// against the shared inter-arrival context: a probe request that opens
+// a window (inter-arrival undefined) still binds its MAC. A record
+// reaches the sender table when at least one member's value is
+// defined, so sender recency (and with it bounded-state eviction) stays
+// a deterministic function of the attributed record stream.
+//
 //fp:hotpath test=TestEnginePushZeroAllocs
 func (a *WindowAccumulator) Push(rec *capture.Record) {
 	if closed, meta := a.clock.Advance(rec.T); closed {
 		a.close(meta)
 	}
-	if a.cfgs != nil {
-		a.pushMulti(rec)
-	} else if !rec.Sender.IsZero() && (rec.FCSOK || a.cfg.KeepBadFCS) {
+	if !rec.Sender.IsZero() {
 		sender := rec.Sender
 		if a.cluster != nil {
 			sender = a.cluster.Resolve(rec)
 		}
-		if v, ok := a.cfg.Param.Value(rec, a.clock.PrevT()); ok {
-			a.table.Observe(sender, rec.Class, v, rec.T)
+		if valid := MemberValues(a.cfgs, rec, a.clock.PrevT(), a.vals); valid != 0 {
+			a.table.Observe(sender, rec.Class, a.vals, valid, rec.T)
 		}
 	}
 	a.clock.Mark(rec.T)
 }
 
-// pushMulti applies the ensemble attribution: one pass computes every
-// member's parameter value against the shared inter-arrival context; a
-// record reaches the sender table when at least one member's value is
-// defined, so sender recency (and with it bounded-state eviction) stays
-// a deterministic function of the attributed record stream. MemberValues
-// is the same computation, exported for the sharded engine's router.
-//
-//fp:hotpath test=TestEnsemblePushZeroAllocs
-func (a *WindowAccumulator) pushMulti(rec *capture.Record) {
-	if rec.Sender.IsZero() {
-		return
-	}
-	sender := rec.Sender
-	if a.cluster != nil {
-		sender = a.cluster.Resolve(rec)
-	}
-	if MemberValues(a.cfgs, rec, a.clock.PrevT(), a.vals, a.valid) {
-		a.table.ObserveN(sender, rec.Class, a.vals, a.valid, rec.T)
-	}
-}
-
 // MemberValues computes every member's parameter value for one
 // attributable record against the shared inter-arrival context prevT,
-// writing into the caller's vals/valid buffers (len(cfgs) each) and
-// reporting whether any member's value is defined. A member whose
+// writing into the caller's vals buffer (len(cfgs)) and returning the
+// validity mask: bit m is set when member m's value is defined (at most
+// MaxEnsembleMembers bits), so zero means no member applies. A member whose
 // configuration keeps bad-FCS frames sees them; the others skip them —
 // per-member attribution, shared context, exactly as per-member
 // extraction over the same records behaves.
 //
 //fp:hotpath test=TestEnsemblePushZeroAllocs
-func MemberValues(cfgs []Config, rec *capture.Record, prevT int64, vals []float64, valid []bool) bool {
-	any := false
+func MemberValues(cfgs []Config, rec *capture.Record, prevT int64, vals []float64) (valid uint8) {
 	for m := range cfgs {
 		ok := rec.FCSOK || cfgs[m].KeepBadFCS
 		var v float64
 		if ok {
 			v, ok = cfgs[m].Param.Value(rec, prevT)
 		}
-		vals[m], valid[m] = v, ok
-		any = any || ok
+		vals[m] = v
+		if ok {
+			valid |= 1 << m
+		}
 	}
-	return any
+	return valid
 }
 
 // Flush closes the currently open window, if any. The next pushed

@@ -66,7 +66,9 @@ type Candidate struct {
 func CandidatesIn(validation *capture.Trace, window time.Duration, cfg Config) []Candidate {
 	var out []Candidate
 	acc := NewWindowAccumulator(window, cfg, func(w *WindowResult) {
-		out = append(out, w.Candidates...)
+		for _, c := range w.Candidates {
+			out = append(out, Candidate{Addr: c.Addr, Window: c.Window, Sig: c.Sigs[0]})
+		}
 	})
 	for i := range validation.Records {
 		acc.Push(&validation.Records[i])

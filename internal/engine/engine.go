@@ -13,7 +13,7 @@
 // caller's sink. Memory is O(live senders + references), independent of
 // stream length, and the push path is allocation-light at steady state.
 //
-// The reference database is hot-swappable (SetDB), so references can be
+// The reference set is hot-swappable (SetEnsembleDB), so references can be
 // retrained — e.g. from a fresher training window — without dropping
 // the stream.
 //
@@ -57,9 +57,9 @@ type Options struct {
 	// Best are bit-identical to the full-vector run — the ranked row's
 	// first entry is exactly the full scan's arg-max — while the match
 	// cost becomes sublinear in the reference count once the database
-	// index is enabled (see core.IndexMode). In ensemble mode the events'
-	// ParamScores are omitted (the fused pruned search never materialises
-	// the per-member vectors). 0 keeps the full vector.
+	// index is enabled (see core.IndexMode). The events' ParamScores are
+	// omitted (the fused pruned search never materialises the per-member
+	// vectors). 0 keeps the full vector.
 	TopK int
 	// Limits bounds the per-window sender state (see core.SenderLimits).
 	// The zero value is unbounded — bit-identical to the batch pipeline;
@@ -136,29 +136,25 @@ type Stats struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 	FramesPerSec float64       `json:"frames_per_sec"`
 	// Index describes the installed database's compiled match index
-	// (aggregated across members on an ensemble engine); Enabled false
+	// (aggregated across members); Enabled false
 	// means matching runs the dense exhaustive kernels.
 	Index core.IndexStats `json:"index"`
 }
 
 // Engine is a push-based fingerprinting pipeline. Push, PushTrace,
-// Flush and Close must be called from a single goroutine; SetDB, DB and
-// Stats are safe from any goroutine at any time.
+// Flush and Close must be called from a single goroutine;
+// SetEnsembleDB, DB, EnsembleDB and Stats are safe from any goroutine
+// at any time.
 //
-// An engine runs in one of two modes, fixed at construction: the
-// single-parameter mode (New) matches each window against a CompiledDB,
-// the ensemble mode (NewEnsemble) extracts every member parameter in
-// one pass and matches against a CompiledEnsemble, emitting fused plus
-// per-member score vectors. Apart from the database type the contract
-// is identical.
+// An engine extracts every member parameter in one pass and matches
+// each window against a CompiledEnsemble, emitting fused plus
+// per-member score vectors; a single-parameter engine (New) is an
+// ensemble of one, whose fused scores equal its member's bit for bit.
 type Engine struct {
-	cfg   core.Config
-	cfgs  []core.Config // ensemble members; nil in single-parameter mode
-	multi bool
-	opts  Options
-	acc   *core.WindowAccumulator
-	db    atomic.Pointer[core.CompiledDB]
-	edb   atomic.Pointer[core.CompiledEnsemble]
+	cfgs []core.Config
+	opts Options
+	acc  *core.WindowAccumulator
+	edb  atomic.Pointer[core.CompiledEnsemble]
 
 	closed  bool
 	startNs atomic.Int64 // wall clock of the first push, unix ns
@@ -177,50 +173,28 @@ type Engine struct {
 	health healthState
 }
 
-// New creates an engine extracting signatures under cfg and matching
-// each window's candidates against db (which may be nil to run
-// extraction-only: every candidate is emitted as UnknownDevice until a
-// database is installed with SetDB). A non-nil db must have been
-// compiled from the same parameter and bin shape as cfg.
+// New creates a single-parameter engine: NewEnsemble over the one
+// configuration cfg, matching against db wrapped as an ensemble of one
+// (nil runs extraction-only until SetEnsembleDB installs references).
 func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
-	if opts.Window == 0 {
-		opts.Window = core.DefaultWindow
-	}
-	e := &Engine{opts: opts}
-	e.acc = core.NewWindowAccumulator(opts.Window, cfg, e.handleWindow)
-	e.acc.SetLimits(opts.Limits)
-	e.acc.SetClusterer(opts.Cluster)
-	e.cfg = e.acc.Config() // defaults materialised
-	if opts.Trainer != nil {
-		if db != nil {
-			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom)")
-		}
-		if err := opts.Trainer.bind(e, e.cfg); err != nil {
-			return nil, err
-		}
-		db = opts.Trainer.Compiled()
-	}
-	if err := e.SetDB(db); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return NewEnsemble([]core.Config{cfg}, core.EnsembleOf(db), opts)
 }
 
-// NewEnsemble creates a multi-parameter engine: every member parameter
-// is extracted in one pass over the stream (one window clock, one
-// shared inter-arrival context, one signature per member per sender)
-// and each closed window's candidates are fuse-matched against edb
-// (which may be nil to run extraction-only until SetEnsembleDB installs
-// one). Member configurations must carry distinct parameters; a
-// non-nil edb must have been compiled from the same parameters and bin
-// shapes. Verdict events carry the fused score vector plus the
-// per-member vectors (Scores / ParamScores) and per-member signatures
-// (Sigs).
+// NewEnsemble creates an engine: every member parameter is extracted in
+// one pass over the stream (one window clock, one shared inter-arrival
+// context, one signature per member per sender) and each closed
+// window's candidates are fuse-matched against edb (which may be nil to
+// run extraction-only: every candidate is emitted as UnknownDevice
+// until SetEnsembleDB installs one). Member configurations must carry
+// distinct parameters; a non-nil edb must have been compiled from the
+// same parameters and bin shapes. Verdict events carry the fused score
+// vector plus the per-member vectors (Scores / ParamScores) and
+// per-member signatures (Sigs).
 func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (*Engine, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
-	e := &Engine{opts: opts, multi: true}
+	e := &Engine{opts: opts}
 	acc, err := core.NewEnsembleAccumulator(opts.Window, cfgs, e.handleWindow)
 	if err != nil {
 		return nil, err
@@ -229,15 +203,13 @@ func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (
 	e.acc.SetLimits(opts.Limits)
 	e.acc.SetClusterer(opts.Cluster)
 	e.cfgs = e.acc.Configs() // defaults materialised
-	e.cfg = e.cfgs[0]
 	if opts.Trainer != nil {
 		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewEnsembleTrainerFrom)")
+			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
 		}
-		if err := opts.Trainer.bindEnsemble(e, e.cfgs); err != nil {
+		if edb, err = opts.Trainer.bind(e, e.cfgs); err != nil {
 			return nil, err
 		}
-		edb = opts.Trainer.CompiledEnsemble()
 	}
 	if err := e.SetEnsembleDB(edb); err != nil {
 		return nil, err
@@ -245,50 +217,17 @@ func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (
 	return e, nil
 }
 
-// Config returns the extraction configuration with defaults materialised
-// (the first member's, in ensemble mode).
-func (e *Engine) Config() core.Config { return e.cfg }
+// Config returns the first member's extraction configuration with
+// defaults materialised.
+func (e *Engine) Config() core.Config { return e.cfgs[0] }
 
 // Configs returns every member configuration with defaults
-// materialised, or nil for a single-parameter engine.
+// materialised, in member order.
 func (e *Engine) Configs() []core.Config { return e.acc.Configs() }
 
-// checkShape verifies a database was compiled from the engine's
-// parameter and bin shape.
-func checkShape(cfg core.Config, db *core.CompiledDB) error {
-	if db != nil {
-		if c := db.Config(); c.Param != cfg.Param || c.Bins != cfg.Bins {
-			return fmt.Errorf("engine: database shape %v/%v does not match engine %v/%v",
-				c.Param, c.Bins, cfg.Param, cfg.Bins)
-		}
-	}
-	return nil
-}
-
-// SetDB atomically swaps the reference database the next closed window
-// is matched against — live retraining without dropping the stream. A
-// nil db switches the engine to extraction-only. The database must
-// share the engine's parameter and bin shape; on mismatch the previous
-// database stays installed. Ensemble engines swap through
-// SetEnsembleDB instead.
-func (e *Engine) SetDB(db *core.CompiledDB) error {
-	if e.multi {
-		return fmt.Errorf("engine: ensemble engine takes a compiled ensemble (SetEnsembleDB)")
-	}
-	if err := checkShape(e.cfg, db); err != nil {
-		return err
-	}
-	e.db.Store(db)
-	return nil
-}
-
-// DB returns the currently installed reference database, or nil (always
-// nil on an ensemble engine; see EnsembleDB).
-func (e *Engine) DB() *core.CompiledDB { return e.db.Load() }
-
-// checkEnsembleShape verifies a compiled ensemble was built from the
-// engine's member parameters and bin shapes.
-func checkEnsembleShape(cfgs []core.Config, edb *core.CompiledEnsemble) error {
+// checkShape verifies a compiled ensemble was built from the engine's
+// member parameters and bin shapes.
+func checkShape(cfgs []core.Config, edb *core.CompiledEnsemble) error {
 	if edb == nil {
 		return nil
 	}
@@ -306,23 +245,35 @@ func checkEnsembleShape(cfgs []core.Config, edb *core.CompiledEnsemble) error {
 }
 
 // SetEnsembleDB atomically swaps the compiled ensemble the next closed
-// window is fuse-matched against — SetDB for the ensemble mode. A nil
-// edb switches the engine to extraction-only; a mismatched one leaves
-// the previous ensemble installed.
+// window is matched against — live retraining without dropping the
+// stream (wrap a single database with core.EnsembleOf). A nil edb
+// switches the engine to extraction-only; a mismatched one leaves the
+// previous ensemble installed.
 func (e *Engine) SetEnsembleDB(edb *core.CompiledEnsemble) error {
-	if !e.multi {
-		return fmt.Errorf("engine: single-parameter engine takes a compiled database (SetDB)")
-	}
-	if err := checkEnsembleShape(e.cfgs, edb); err != nil {
+	if err := checkShape(e.cfgs, edb); err != nil {
 		return err
 	}
 	e.edb.Store(edb)
 	return nil
 }
 
-// EnsembleDB returns the currently installed compiled ensemble, or nil
-// (always nil on a single-parameter engine).
+// EnsembleDB returns the currently installed compiled ensemble, or nil.
 func (e *Engine) EnsembleDB() *core.CompiledEnsemble { return e.edb.Load() }
+
+// DB returns the sole member of the installed ensemble when it has one
+// member, else nil.
+func (e *Engine) DB() *core.CompiledDB { return soleMember(e.edb.Load()) }
+
+// soleMember returns a one-member ensemble's member, else nil.
+func soleMember(edb *core.CompiledEnsemble) *core.CompiledDB {
+	if edb == nil {
+		return nil
+	}
+	if m := edb.Members(); len(m) == 1 {
+		return m[0]
+	}
+	return nil
+}
 
 // Push ingests one record. The record is not retained. Crossing a
 // window boundary synchronously matches and emits the completed window
@@ -381,12 +332,8 @@ func (e *Engine) Stats() Stats {
 	s.Candidates = s.Matched + s.Unknown
 	s.Frames = e.frames.Load()
 	s.LiveSenders = e.acc.LiveSenders()
-	if e.multi {
-		if edb := e.edb.Load(); edb != nil {
-			s.Index = edb.IndexStats()
-		}
-	} else if db := e.db.Load(); db != nil {
-		s.Index = db.IndexStats()
+	if edb := e.edb.Load(); edb != nil {
+		s.Index = edb.IndexStats()
 	}
 	if ns := e.startNs.Load(); ns != 0 {
 		s.Elapsed = time.Duration(time.Now().UnixNano() - ns) //fp:wallclock stats-only elapsed/throughput; no event output depends on it
@@ -401,12 +348,12 @@ func (e *Engine) Stats() Stats {
 // window delivery and trainer steps). Safe from any goroutine.
 func (e *Engine) Health() Health { return e.health.snapshot() }
 
-// handleWindow matches one closed window's candidates — fused in
-// ensemble mode — and emits its events. It runs on the pushing
-// goroutine, under panic supervision: a panic — a faulting sink, a
-// matching fault — loses that window's remaining events (counted in
-// Health as an engine panic) but not the stream; the accumulator has
-// already rolled to the next window and Push keeps working.
+// handleWindow fuse-matches one closed window's candidates and emits
+// its events. It runs on the pushing goroutine, under panic
+// supervision: a panic — a faulting sink, a matching fault — loses that
+// window's remaining events (counted in Health as an engine panic) but
+// not the stream; the accumulator has already rolled to the next window
+// and Push keeps working.
 //
 //fp:coldpath runs once per closed window; matching and emission amortise across the window's frames
 func (e *Engine) handleWindow(w *core.WindowResult) {
@@ -416,58 +363,23 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 		}
 	}()
 	sink := e.opts.Sink
+	var fused [][]core.Score
+	var perParam [][][]core.Score
+	if edb := e.edb.Load(); edb != nil && edb.Len() > 0 && len(w.Candidates) > 0 {
+		// Rows share per-window backing allocations and are handed off to
+		// the events, never reused, so receivers may retain them.
+		if e.opts.TopK > 0 {
+			fused = edb.TopKAllWorkers(w.Candidates, e.opts.TopK, e.opts.Workers)
+		} else {
+			fused, perParam = edb.MatchAllWorkers(w.Candidates, e.opts.Workers)
+		}
+	}
 	matchedN, unknownN := 0, 0
-	if e.multi {
-		edb := e.edb.Load()
-		var fused [][]core.Score
-		var perParam [][][]core.Score
-		if edb != nil && edb.Len() > 0 && len(w.Multi) > 0 {
-			// Rows share per-window backing allocations and are handed
-			// off to the events, never reused, so receivers may retain
-			// them.
-			if e.opts.TopK > 0 {
-				fused = edb.TopKAllWorkers(w.Multi, e.opts.TopK, e.opts.Workers)
-			} else {
-				fused, perParam = edb.MatchAllWorkers(w.Multi, e.opts.Workers)
-			}
-		}
-		for i := range w.Multi {
-			var f []core.Score
-			var pp [][]core.Score
-			if fused != nil {
-				f = fused[i]
-			}
-			if perParam != nil {
-				pp = perParam[i]
-			}
-			if emitVerdictMulti(sink, e.opts.Threshold, &w.Multi[i], f, pp) {
-				matchedN++
-			} else {
-				unknownN++
-			}
-		}
-	} else {
-		db := e.db.Load()
-		var rows [][]core.Score
-		if db != nil && db.Len() > 0 && len(w.Candidates) > 0 {
-			// Rows share one backing allocation per window and are handed
-			// off to the events, never reused, so receivers may retain them.
-			if e.opts.TopK > 0 {
-				rows = db.TopKAllWorkers(w.Candidates, e.opts.TopK, e.opts.Workers)
-			} else {
-				rows = db.MatchAllWorkers(w.Candidates, e.opts.Workers)
-			}
-		}
-		for i := range w.Candidates {
-			var scores []core.Score
-			if rows != nil {
-				scores = rows[i]
-			}
-			if emitVerdict(sink, e.opts.Threshold, &w.Candidates[i], scores) {
-				matchedN++
-			} else {
-				unknownN++
-			}
+	for i := range w.Candidates {
+		if emitCandidate(sink, e.opts.Threshold, &w.Candidates[i], row(fused, i), row(perParam, i)) {
+			matchedN++
+		} else {
+			unknownN++
 		}
 	}
 
@@ -479,14 +391,14 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 		if sink != nil {
 			sink.HandleEvent(CandidateDropped{
 				Window: w.Index, Addr: d.Addr,
-				Observations: d.Observations, Minimum: e.cfg.MinObservations,
+				Observations: d.Observations, Minimum: e.cfgs[0].MinObservations,
 				Evicted: d.Evicted,
 			})
 		}
 	}
 	// Evictions beyond the per-window record cap carry no individual
 	// event but count everywhere a total does.
-	candsN := len(w.Candidates) + len(w.Multi)
+	candsN := len(w.Candidates)
 	droppedN := len(w.Dropped) + int(w.EvictedSilently)
 	evictedN += int(w.EvictedSilently)
 	if sink != nil {
@@ -518,16 +430,26 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 					e.health.recordPanic(e.opts.HealthSink, "trainer", -1, r)
 				}
 			}()
-			emit := func(ev Event) {
-				if sink != nil {
-					sink.HandleEvent(ev)
-				}
-			}
-			if e.multi {
-				tr.observeWindowMulti(w.Index, w.Multi, emit)
-			} else {
-				tr.observeWindow(w.Index, w.Candidates, emit)
-			}
+			tr.observe(w.Index, w.Candidates, sinkEmit(sink))
 		}()
+	}
+}
+
+// row returns rows[i], or nil when no rows were computed (no references
+// installed, or a top-k run without per-member vectors).
+func row[T any](rows []T, i int) T {
+	var zero T
+	if rows == nil {
+		return zero
+	}
+	return rows[i]
+}
+
+// sinkEmit adapts a possibly-nil sink to the trainer's emit callback.
+func sinkEmit(sink Sink) func(Event) {
+	return func(ev Event) {
+		if sink != nil {
+			sink.HandleEvent(ev)
+		}
 	}
 }

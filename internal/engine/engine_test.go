@@ -282,15 +282,15 @@ func TestEngineSetDBHotSwap(t *testing.T) {
 
 	// Shape mismatch must be rejected and leave the engine unchanged.
 	wrong := core.NewDatabase(core.Config{Param: core.ParamRate}, core.MeasureCosine)
-	if err := eng.SetDB(wrong.Compile()); err == nil {
-		t.Fatal("mismatched SetDB accepted")
+	if err := eng.SetEnsembleDB(core.EnsembleOf(wrong.Compile())); err == nil {
+		t.Fatal("mismatched SetEnsembleDB accepted")
 	}
 
 	half := len(tr.Records) / 2
 	for i := range tr.Records {
 		eng.Push(&tr.Records[i])
 		if i == half {
-			if err := eng.SetDB(db.Compile()); err != nil {
+			if err := eng.SetEnsembleDB(core.EnsembleOf(db.Compile())); err != nil {
 				t.Fatal(err)
 			}
 		}

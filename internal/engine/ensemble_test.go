@@ -42,8 +42,8 @@ func multiSink(got *multiCollected) engine.Sink {
 			got.perParam = append(got.perParam, ev.ParamScores)
 			got.best = append(got.best, ev.Best)
 			got.matched = append(got.matched, true)
-			if ev.Sig != nil {
-				panic("ensemble verdict carries a single-parameter Sig")
+			if ev.Sig != ev.Sigs[0] {
+				panic("verdict Sig is not its first member signature")
 			}
 		case engine.UnknownDevice:
 			got.cands = append(got.cands, core.MultiCandidate{Addr: [6]byte(ev.Addr), Window: ev.Window, Sigs: ev.Sigs})
@@ -239,10 +239,7 @@ func TestEnsembleEngineThresholdAndHotSwap(t *testing.T) {
 	if eng.EnsembleDB() != nil {
 		t.Fatal("fresh ensemble engine has references installed")
 	}
-	// Mode and shape guards.
-	if err := eng.SetDB(nil); err == nil {
-		t.Fatal("SetDB accepted on an ensemble engine")
-	}
+	// Shape guard.
 	wrong, _ := core.NewEnsemble(core.MeasureCosine, core.Config{Param: core.ParamTxTime})
 	if err := eng.SetEnsembleDB(wrong.Compile()); err == nil {
 		t.Fatal("mismatched SetEnsembleDB accepted")
@@ -266,14 +263,15 @@ func TestEnsembleEngineThresholdAndHotSwap(t *testing.T) {
 		t.Fatal("no CandidateMatched events after the ensemble was installed")
 	}
 
-	// Single-parameter engines reject the ensemble entry points.
+	// A single-parameter engine — an ensemble of one — rejects a
+	// multi-member ensemble.
 	single, err := engine.New(core.Config{Param: core.ParamSize}, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
 	if err := single.SetEnsembleDB(ens.Compile()); err == nil {
-		t.Fatal("SetEnsembleDB accepted on a single-parameter engine")
+		t.Fatal("single-parameter engine accepted a three-member ensemble")
 	}
 }
 
@@ -481,7 +479,7 @@ func TestEnsembleTrainerRefusesPartialSeed(t *testing.T) {
 	if trainer.Ensemble().Len() != 1 {
 		t.Fatalf("warm-started trainer holds %d refs, want 1", trainer.Ensemble().Len())
 	}
-	if trainer.Database() != nil || trainer.Compiled() != nil {
-		t.Fatal("ensemble trainer leaks single-parameter accessors")
+	if trainer.Database() != nil {
+		t.Fatal("ensemble trainer leaks the single-parameter accessor")
 	}
 }

@@ -44,32 +44,29 @@ type WindowClosed struct {
 type CandidateMatched struct {
 	Window int
 	Addr   dot11.Addr
-	// Sig is the candidate's window signature (single-parameter
-	// engines; nil in ensemble mode, which carries Sigs instead).
+	// Sig is the candidate's first-member window signature, Sigs[0] —
+	// the whole signature of a single-parameter engine.
 	Sig *core.Signature
-	// Sigs are the candidate's per-member window signatures in an
-	// ensemble engine, aligned with the ensemble's Params (nil on
-	// single-parameter engines).
+	// Sigs are the candidate's per-member window signatures, aligned
+	// with the engine's Configs.
 	Sigs []*core.Signature
-	// Scores is the full similarity vector (Algorithm 1), in the
-	// reference database's insertion order. On an ensemble engine it is
-	// the fused vector — the mean of the member similarities — over the
-	// fully-known reference set.
+	// Scores is the full similarity vector (Algorithm 1): the fused
+	// vector — the mean of the member similarities — over the
+	// fully-known reference set, in the first member's insertion order.
+	// With one member it is that member's vector, bit for bit.
 	Scores []core.Score
-	// ParamScores are the per-member similarity vectors behind a fused
-	// Scores, aligned with the ensemble's Params; each member's vector
-	// runs over that member's own reference order (nil on
-	// single-parameter engines).
+	// ParamScores are the per-member similarity vectors behind Scores,
+	// aligned with Sigs; each member's vector runs over that member's
+	// own reference order (nil under TopK).
 	ParamScores [][]core.Score
 	// Best is the arg-max entry of Scores.
 	Best core.Score
 }
 
-// Observations returns the candidate's observation count: the single
-// signature's on a single-parameter engine, the maximum across member
-// signatures in ensemble mode (members differ only through
-// per-parameter value validity).
-func (ev CandidateMatched) Observations() uint64 { return eventObs(ev.Sig, ev.Sigs) }
+// Observations returns the candidate's observation count: the maximum
+// across member signatures (members differ only through per-parameter
+// value validity).
+func (ev CandidateMatched) Observations() uint64 { return maxSigObs(ev.Sigs) }
 
 // UnknownDevice reports a candidate that cleared the minimum-observation
 // rule but matched no reference: either its best similarity stayed
@@ -78,12 +75,12 @@ func (ev CandidateMatched) Observations() uint64 { return eventObs(ev.Sig, ev.Si
 type UnknownDevice struct {
 	Window int
 	Addr   dot11.Addr
-	// Sig and Sigs carry the window signature(s), exactly as on
-	// CandidateMatched (Sig single-parameter, Sigs ensemble).
+	// Sig and Sigs carry the window signatures, exactly as on
+	// CandidateMatched.
 	Sig  *core.Signature
 	Sigs []*core.Signature
-	// Scores is the similarity vector (fused on an ensemble engine);
-	// ParamScores the per-member vectors behind it (ensemble only).
+	// Scores is the fused similarity vector; ParamScores the per-member
+	// vectors behind it, exactly as on CandidateMatched.
 	Scores      []core.Score
 	ParamScores [][]core.Score
 	// Best is the arg-max entry of Scores when HasBest is true.
@@ -93,15 +90,7 @@ type UnknownDevice struct {
 
 // Observations returns the candidate's observation count (see
 // CandidateMatched.Observations).
-func (ev UnknownDevice) Observations() uint64 { return eventObs(ev.Sig, ev.Sigs) }
-
-// eventObs implements the verdict events' Observations convention.
-func eventObs(sig *core.Signature, sigs []*core.Signature) uint64 {
-	if sig != nil {
-		return sig.Observations()
-	}
-	return maxSigObs(sigs)
-}
+func (ev UnknownDevice) Observations() uint64 { return maxSigObs(ev.Sigs) }
 
 // CandidateDropped reports a sender observed in the window that was
 // never matched: its signature stayed below the minimum-observation
@@ -166,41 +155,12 @@ func (EnrollmentProgress) event() {}
 func (DeviceEnrolled) event()     {}
 func (DBSwapped) event()          {}
 
-// emitVerdict delivers the per-candidate verdict event — the single
+// emitCandidate delivers the per-candidate verdict event — the single
 // event-construction path shared by the serial and sharded engines, so
 // their streams cannot drift apart — and reports whether the candidate
 // matched. A nil sink still computes the verdict, keeping counters
 // exact.
-func emitVerdict(sink Sink, threshold float64, c *core.Candidate, scores []core.Score) bool {
-	best := core.Score{Sim: -1}
-	for _, sc := range scores {
-		if sc.Sim > best.Sim {
-			best = sc
-		}
-	}
-	if hasBest := len(scores) > 0; hasBest && best.Sim >= threshold {
-		if sink != nil {
-			sink.HandleEvent(CandidateMatched{
-				Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sig,
-				Scores: scores, Best: best,
-			})
-		}
-		return true
-	}
-	if sink != nil {
-		ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sig, Scores: scores}
-		if len(scores) > 0 {
-			ev.Best, ev.HasBest = best, true
-		}
-		sink.HandleEvent(ev)
-	}
-	return false
-}
-
-// emitVerdictMulti is emitVerdict for an ensemble engine's fused
-// verdicts — the same single event-construction path, shared by the
-// serial and sharded engines, over the fused score vector.
-func emitVerdictMulti(sink Sink, threshold float64, c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) bool {
+func emitCandidate(sink Sink, threshold float64, c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) bool {
 	best := core.Score{Sim: -1}
 	for _, sc := range fused {
 		if sc.Sim > best.Sim {
@@ -210,14 +170,14 @@ func emitVerdictMulti(sink Sink, threshold float64, c *core.MultiCandidate, fuse
 	if hasBest := len(fused) > 0; hasBest && best.Sim >= threshold {
 		if sink != nil {
 			sink.HandleEvent(CandidateMatched{
-				Window: c.Window, Addr: dot11.Addr(c.Addr), Sigs: c.Sigs,
+				Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sigs[0], Sigs: c.Sigs,
 				Scores: fused, ParamScores: perParam, Best: best,
 			})
 		}
 		return true
 	}
 	if sink != nil {
-		ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sigs: c.Sigs, Scores: fused, ParamScores: perParam}
+		ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sigs[0], Sigs: c.Sigs, Scores: fused, ParamScores: perParam}
 		if len(fused) > 0 {
 			ev.Best, ev.HasBest = best, true
 		}

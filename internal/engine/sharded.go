@@ -59,8 +59,8 @@ type ShardedOptions struct {
 	// TopK trims verdict events to the k best references, exactly like
 	// Options.TopK: verdicts and Best stay bit-identical to the full
 	// vector at every shard count, per-window match cost becomes
-	// sublinear with the index enabled, and ensemble ParamScores are
-	// omitted. 0 keeps the full vector.
+	// sublinear with the index enabled, and ParamScores are omitted. 0
+	// keeps the full vector.
 	TopK int
 	// Limits bounds each shard's sender state (see core.SenderLimits).
 	// The cap applies per shard, so total signature memory is
@@ -107,27 +107,16 @@ type ShardedOptions struct {
 // small enough that a window close never waits long for stragglers.
 const shardBatch = 256
 
-// shardObs is one attributed observation, routed to the sender's shard.
-// The router has already applied the attribution rules and computed the
-// parameter value against the global inter-arrival context, so sharding
-// cannot change any observation's value.
-type shardObs struct {
+// routedObs is one attributed observation, routed to the sender's
+// shard. The router has already applied the attribution rules and
+// computed every member's parameter value against the global
+// inter-arrival context, so sharding cannot change any observation's
+// value; the values travel in the message's flat vals array.
+type routedObs struct {
 	addr  dot11.Addr
 	class dot11.Class
-	v     float64
+	valid uint8 // member validity mask (core.MemberValues)
 	t     int64
-}
-
-// shardMultiObs is shardObs for an ensemble engine: one record's
-// parameter values for every member, computed by the router against the
-// shared inter-arrival context. The value arrays are sized by
-// core.MaxEnsembleMembers so batches stay flat, recycled memory.
-type shardMultiObs struct {
-	addr  dot11.Addr
-	class dot11.Class
-	t     int64
-	vals  [core.MaxEnsembleMembers]float64
-	valid [core.MaxEnsembleMembers]bool
 }
 
 // shardMsg is the SPSC queue element: a batch of observations, plus an
@@ -135,15 +124,15 @@ type shardMultiObs struct {
 // the router's core.WindowMeta — the one global window clock — so
 // window indices, bounds and frame counts stay consistent across
 // shards. Messages are recycled through a per-shard free list, so the
-// steady state moves no memory to the garbage collector. Ensemble
-// engines batch into mentries (allocated once per message at
-// construction); single-parameter engines into entries.
+// steady state moves no memory to the garbage collector. Observation i's
+// member values are vals[i*m:(i+1)*m] for an engine of m members,
+// allocated once per message at construction.
 type shardMsg struct {
 	n        int
 	closeWin bool
 	meta     core.WindowMeta
-	entries  [shardBatch]shardObs
-	mentries []shardMultiObs // ensemble mode only; len shardBatch
+	entries  [shardBatch]routedObs
+	vals     []float64
 }
 
 // shard is one partition: an SPSC queue pair (ch carries filled
@@ -161,11 +150,10 @@ type shard struct {
 
 // shardSegment is one shard's slice of a closed window, sent to the
 // merger: candidates and dropped senders (each sorted by address) plus
-// the shard-local match rows (fused + per-member in ensemble mode).
+// the shard-local match rows (fused and per-member).
 type shardSegment struct {
 	meta     core.WindowMeta
 	res      core.WindowResult
-	rows     [][]core.Score
 	fused    [][]core.Score
 	perParam [][][]core.Score
 }
@@ -177,25 +165,22 @@ type shardSegment struct {
 // one deterministic event stream.
 //
 // The contract is the serial Engine's: Push, PushTrace, Flush and
-// Close from a single goroutine; SetDB, DB and Stats from any
-// goroutine. Unlike Engine, events are delivered asynchronously on an
+// Close from a single goroutine; SetEnsembleDB, DB, EnsembleDB and
+// Stats from any goroutine. Unlike Engine, events are delivered asynchronously on an
 // internal goroutine — Flush and Close block until every event for the
 // flushed windows has been handed to the sink, and the sink must not
 // call back into Push.
 //
-// Because the router computes each observation's parameter value
-// against the global inter-arrival context and broadcasts one global
-// window clock, the merged event stream is identical to the serial
-// Engine's over the same records — same events, same order — for every
-// shard count, as long as no observations are dropped (Block policy,
-// no SenderLimits).
+// Because the router resolves each sender and computes its member
+// values against the global inter-arrival context exactly as the serial
+// accumulator does, and broadcasts one global window clock, the merged
+// event stream is identical to the serial Engine's over the same
+// records — same events, same order — for every shard count, as long
+// as no observations are dropped (Block policy, no SenderLimits).
 type Sharded struct {
-	cfg   core.Config
-	cfgs  []core.Config // ensemble members; nil in single-parameter mode
-	multi bool
-	opts  ShardedOptions
-	db    atomic.Pointer[core.CompiledDB]
-	edb   atomic.Pointer[core.CompiledEnsemble]
+	cfgs []core.Config
+	opts ShardedOptions
+	edb  atomic.Pointer[core.CompiledEnsemble]
 
 	shards []*shard
 	segCh  chan shardSegment
@@ -206,13 +191,12 @@ type Sharded struct {
 
 	// Router state, owned by the pushing goroutine. The clock is the
 	// same implementation WindowAccumulator runs on, so serial and
-	// sharded windowing cannot drift apart. vals/valid are the reusable
-	// per-record member value buffers of the ensemble mode.
+	// sharded windowing cannot drift apart. vals is the reusable
+	// per-record member value buffer.
 	closed bool
 	clock  core.WindowClock
 	closes uint64 // window closes broadcast so far
 	vals   []float64
-	valid  []bool
 
 	startNs       atomic.Int64
 	frames        atomic.Uint64
@@ -238,64 +222,22 @@ type Sharded struct {
 	watchWG   sync.WaitGroup
 }
 
-// NewSharded creates a sharded engine extracting signatures under cfg
-// and matching each closed window against db (nil runs extraction-only
-// until SetDB installs one). A non-nil db must share cfg's parameter
-// and bin shape.
+// NewSharded creates a single-parameter sharded engine: NewShardedEnsemble
+// over the one configuration cfg, matching against db wrapped as an
+// ensemble of one (nil runs extraction-only until SetEnsembleDB
+// installs references).
 func NewSharded(cfg core.Config, db *core.CompiledDB, opts ShardedOptions) (*Sharded, error) {
-	s, err := newSharded([]core.Config{cfg}, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trainer != nil {
-		if db != nil {
-			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom)")
-		}
-		if err := opts.Trainer.bind(s, s.cfg); err != nil {
-			return nil, err
-		}
-		db = opts.Trainer.Compiled()
-		s.deferMatch = true
-	}
-	if err := s.SetDB(db); err != nil {
-		return nil, err
-	}
-	s.start()
-	return s, nil
+	return NewShardedEnsemble([]core.Config{cfg}, core.EnsembleOf(db), opts)
 }
 
-// NewShardedEnsemble creates a sharded multi-parameter engine: the
-// router computes every member's parameter value against the global
-// inter-arrival context (so sharding cannot change any value), shards
-// accumulate one signature per member per sender, and each closed
-// window's candidates are fuse-matched against edb (nil runs
-// extraction-only until SetEnsembleDB installs one). The merged event
-// stream is identical to the serial ensemble engine's at every shard
-// count, exactly like the single-parameter engines.
+// NewShardedEnsemble creates a sharded engine: the router computes
+// every member's parameter value against the global inter-arrival
+// context (so sharding cannot change any value), shards accumulate one
+// signature per member per sender, and each closed window's candidates
+// are fuse-matched against edb (nil runs extraction-only until
+// SetEnsembleDB installs one). The merged event stream is identical to
+// the serial engine's at every shard count.
 func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts ShardedOptions) (*Sharded, error) {
-	s, err := newSharded(cfgs, true, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trainer != nil {
-		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewEnsembleTrainerFrom)")
-		}
-		if err := opts.Trainer.bindEnsemble(s, s.cfgs); err != nil {
-			return nil, err
-		}
-		edb = opts.Trainer.CompiledEnsemble()
-		s.deferMatch = true
-	}
-	if err := s.SetEnsembleDB(edb); err != nil {
-		return nil, err
-	}
-	s.start()
-	return s, nil
-}
-
-// newSharded builds the router, shards and queues shared by both modes.
-func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
@@ -307,7 +249,6 @@ func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, 
 	}
 	s := &Sharded{
 		opts:  opts,
-		multi: multi,
 		clock: core.NewWindowClock(opts.Window),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -315,14 +256,9 @@ func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, 
 	batches := (opts.QueueLen + shardBatch - 1) / shardBatch
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		var table *core.SenderTable
-		if multi {
-			var err error
-			if table, err = core.NewEnsembleSenderTable(cfgs, opts.Limits); err != nil {
-				return nil, err
-			}
-		} else {
-			table = core.NewSenderTable(cfgs[0], opts.Limits)
+		table, err := core.NewSenderTable(cfgs, opts.Limits)
+		if err != nil {
+			return nil, err
 		}
 		sh := &shard{
 			ch:    make(chan *shardMsg, batches),
@@ -332,20 +268,26 @@ func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, 
 		// One message per queue slot, plus one for the router to fill
 		// and one for the shard goroutine to drain.
 		for j := 0; j < batches+2; j++ {
-			msg := &shardMsg{}
-			if multi {
-				msg.mentries = make([]shardMultiObs, shardBatch)
-			}
-			sh.free <- msg
+			sh.free <- &shardMsg{vals: make([]float64, shardBatch*len(cfgs))}
 		}
 		s.shards[i] = sh
 	}
-	s.cfg = s.shards[0].table.Config() // defaults materialised
-	if multi {
-		s.cfgs = s.shards[0].table.Configs()
-		s.vals = make([]float64, len(s.cfgs))
-		s.valid = make([]bool, len(s.cfgs))
+	s.cfgs = s.shards[0].table.Configs() // defaults materialised
+	s.vals = make([]float64, len(s.cfgs))
+	if opts.Trainer != nil {
+		if edb != nil {
+			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
+		}
+		var err error
+		if edb, err = opts.Trainer.bind(s, s.cfgs); err != nil {
+			return nil, err
+		}
+		s.deferMatch = true
 	}
+	if err := s.SetEnsembleDB(edb); err != nil {
+		return nil, err
+	}
+	s.start()
 	return s, nil
 }
 
@@ -370,58 +312,37 @@ func (s *Sharded) start() {
 	}
 }
 
-// Config returns the extraction configuration with defaults materialised
-// (the first member's, in ensemble mode).
-func (s *Sharded) Config() core.Config { return s.cfg }
+// Config returns the first member's extraction configuration with
+// defaults materialised.
+func (s *Sharded) Config() core.Config { return s.cfgs[0] }
 
 // Configs returns every member configuration with defaults
-// materialised, or nil for a single-parameter engine.
+// materialised, in member order.
 func (s *Sharded) Configs() []core.Config {
-	if !s.multi {
-		return nil
-	}
 	out := make([]core.Config, len(s.cfgs))
 	copy(out, s.cfgs)
 	return out
 }
 
-// SetDB atomically swaps the reference database, exactly like
-// Engine.SetDB. Each shard picks the new database up at its next window
-// close; a swap that races a closing window may match that window's
-// shards against different databases, so swap between windows when the
-// distinction matters.
-func (s *Sharded) SetDB(db *core.CompiledDB) error {
-	if s.multi {
-		return fmt.Errorf("engine: ensemble engine takes a compiled ensemble (SetEnsembleDB)")
-	}
-	if err := checkShape(s.cfg, db); err != nil {
-		return err
-	}
-	s.db.Store(db)
-	return nil
-}
-
-// DB returns the currently installed reference database, or nil (always
-// nil on an ensemble engine; see EnsembleDB).
-func (s *Sharded) DB() *core.CompiledDB { return s.db.Load() }
-
 // SetEnsembleDB atomically swaps the compiled ensemble, exactly like
-// Engine.SetEnsembleDB; the swap-vs-closing-window caveat of SetDB
-// applies.
+// Engine.SetEnsembleDB. Each shard picks the new references up at its
+// next window close; a swap that races a closing window may match that
+// window's shards against different references, so swap between
+// windows when the distinction matters.
 func (s *Sharded) SetEnsembleDB(edb *core.CompiledEnsemble) error {
-	if !s.multi {
-		return fmt.Errorf("engine: single-parameter engine takes a compiled database (SetDB)")
-	}
-	if err := checkEnsembleShape(s.cfgs, edb); err != nil {
+	if err := checkShape(s.cfgs, edb); err != nil {
 		return err
 	}
 	s.edb.Store(edb)
 	return nil
 }
 
-// EnsembleDB returns the currently installed compiled ensemble, or nil
-// (always nil on a single-parameter engine).
+// EnsembleDB returns the currently installed compiled ensemble, or nil.
 func (s *Sharded) EnsembleDB() *core.CompiledEnsemble { return s.edb.Load() }
+
+// DB returns the sole member of the installed ensemble when it has one
+// member, else nil.
+func (s *Sharded) DB() *core.CompiledDB { return soleMember(s.edb.Load()) }
 
 // shardOf hashes a sender address to its shard: a fixed multiplicative
 // hash over the 48 address bits, so partitioning is deterministic
@@ -441,10 +362,11 @@ func (s *Sharded) shardOf(addr dot11.Addr) int {
 func (s *Sharded) ShardOf(addr dot11.Addr) int { return s.shardOf(addr) }
 
 // Push ingests one record; the record is not retained. The router
-// applies the global window clock and attribution rules, computes the
-// parameter value against the stream-wide inter-arrival context, and
-// forwards the observation to its sender's shard. Push panics after
-// Close.
+// applies the global window clock and the serial accumulator's
+// attribution rule — resolve the sender through the clusterer first,
+// then compute every member's value against the stream-wide
+// inter-arrival context — and forwards the observation to its sender's
+// shard. Push panics after Close.
 //
 //fp:hotpath test=TestShardedPushZeroAllocs
 func (s *Sharded) Push(rec *capture.Record) {
@@ -457,16 +379,13 @@ func (s *Sharded) Push(rec *capture.Record) {
 	if closed, meta := s.clock.Advance(rec.T); closed {
 		s.broadcastClose(meta)
 	}
-	if s.multi {
-		// Every member's value is computed here, against the global
-		// inter-arrival context, exactly as the serial ensemble
-		// accumulator computes them — sharding cannot change a value.
-		if !rec.Sender.IsZero() && core.MemberValues(s.cfgs, rec, s.clock.PrevT(), s.vals, s.valid) {
-			s.routeMulti(s.resolveSender(rec), rec.Class, rec.T)
-		}
-	} else if !rec.Sender.IsZero() && (rec.FCSOK || s.cfg.KeepBadFCS) {
-		if v, ok := s.cfg.Param.Value(rec, s.clock.PrevT()); ok {
-			s.route(s.resolveSender(rec), rec.Class, v, rec.T)
+	if !rec.Sender.IsZero() {
+		// Resolve before computing values, exactly as the serial
+		// accumulator does: a probe request opening a window has no
+		// inter-arrival value yet still binds its MAC.
+		sender := s.resolveSender(rec)
+		if valid := core.MemberValues(s.cfgs, rec, s.clock.PrevT(), s.vals); valid != 0 {
+			s.enqueue(sender, rec.Class, valid, rec.T)
 		}
 	}
 	s.clock.Mark(rec.T)
@@ -545,29 +464,19 @@ func (s *Sharded) commit(sh *shard, cur *shardMsg) {
 	}
 }
 
-// route appends one observation to its shard's current batch.
-func (s *Sharded) route(addr dot11.Addr, class dot11.Class, v float64, t int64) {
+// enqueue appends one observation — the router's vals buffer and the
+// validity mask — to its shard's current batch.
+func (s *Sharded) enqueue(addr dot11.Addr, class dot11.Class, valid uint8, t int64) {
 	sh := s.shards[s.shardOf(addr)]
 	cur := s.slot(sh)
 	if cur == nil {
 		return
 	}
-	cur.entries[cur.n] = shardObs{addr: addr, class: class, v: v, t: t}
-	s.commit(sh, cur)
-}
-
-// routeMulti appends one multi-parameter observation (the router's
-// vals/valid buffers) to its shard's current batch.
-func (s *Sharded) routeMulti(addr dot11.Addr, class dot11.Class, t int64) {
-	sh := s.shards[s.shardOf(addr)]
-	cur := s.slot(sh)
-	if cur == nil {
-		return
+	cur.entries[cur.n] = routedObs{addr: addr, class: class, valid: valid, t: t}
+	vals := cur.vals[cur.n*len(s.vals):]
+	for m, v := range s.vals { // a loop, not copy: a memmove call costs more than the few members
+		vals[m] = v
 	}
-	o := &cur.mentries[cur.n]
-	o.addr, o.class, o.t = addr, class, t
-	copy(o.vals[:len(s.vals)], s.vals)
-	copy(o.valid[:len(s.valid)], s.valid)
 	s.commit(sh, cur)
 }
 
@@ -686,10 +595,9 @@ func (s *Sharded) Health() Health {
 // scratch, and ships the segment to the merger.
 func (s *Sharded) runShard(id int, sh *shard) {
 	defer s.shardWG.Done()
-	var scratch core.MatchScratch
-	var escratch core.EnsembleScratch
+	var scratch core.EnsembleScratch
 	for msg := range sh.ch {
-		s.shardProcess(id, sh, msg, &scratch, &escratch)
+		s.shardProcess(id, sh, msg, &scratch)
 		sh.processed.Add(1)
 		msg.n = 0
 		msg.closeWin = false
@@ -706,7 +614,7 @@ func (s *Sharded) runShard(id int, sh *shard) {
 // keep returning. The loss is counted in Health as a shard panic.
 //
 //fp:hotpath test=TestShardedPushZeroAllocs
-func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.MatchScratch, escratch *core.EnsembleScratch) {
+func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.EnsembleScratch) {
 	sent := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -726,19 +634,12 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.M
 		h(id, msg.n)
 	}
 	nm := len(s.cfgs)
-	if s.multi {
-		for i := 0; i < msg.n; i++ {
-			o := &msg.mentries[i]
-			sh.table.ObserveN(o.addr, o.class, o.vals[:nm], o.valid[:nm], o.t)
-		}
-	} else {
-		for i := 0; i < msg.n; i++ {
-			o := &msg.entries[i]
-			sh.table.Observe(o.addr, o.class, o.v, o.t)
-		}
+	for i := 0; i < msg.n; i++ {
+		o := &msg.entries[i]
+		sh.table.Observe(o.addr, o.class, msg.vals[i*nm:(i+1)*nm], o.valid, o.t)
 	}
 	if msg.closeWin {
-		s.shardClose(sh, msg, scratch, escratch, &sent)
+		s.shardClose(sh, msg, scratch, &sent)
 	}
 }
 
@@ -748,7 +649,7 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.M
 // double-ships a segment.
 //
 //fp:coldpath runs once per (shard, window) close control; drain and match amortise across the window's frames
-func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.MatchScratch, escratch *core.EnsembleScratch, sent *bool) {
+func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.EnsembleScratch, sent *bool) {
 	seg := shardSegment{meta: msg.meta}
 	seg.res.Index = msg.meta.Index
 	seg.res.Start, seg.res.End = msg.meta.Start, msg.meta.End
@@ -757,21 +658,11 @@ func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.MatchScratc
 	// With a trainer attached matching is deferred to the merger,
 	// so window k's enrollment swap is installed before window
 	// k+1's candidates are matched (see ShardedOptions.Trainer).
-	if !s.deferMatch {
-		if s.multi {
-			if edb := s.edb.Load(); edb != nil && edb.Len() > 0 && len(seg.res.Multi) > 0 {
-				if s.opts.TopK > 0 {
-					seg.fused = edb.TopKAllScratch(seg.res.Multi, s.opts.TopK, escratch)
-				} else {
-					seg.fused, seg.perParam = edb.MatchAllScratch(seg.res.Multi, escratch)
-				}
-			}
-		} else if db := s.db.Load(); db != nil && db.Len() > 0 && len(seg.res.Candidates) > 0 {
-			if s.opts.TopK > 0 {
-				seg.rows = db.TopKAllScratch(seg.res.Candidates, s.opts.TopK, scratch)
-			} else {
-				seg.rows = db.MatchAllScratch(seg.res.Candidates, scratch)
-			}
+	if edb := s.edb.Load(); !s.deferMatch && edb != nil && edb.Len() > 0 && len(seg.res.Candidates) > 0 {
+		if s.opts.TopK > 0 {
+			seg.fused = edb.TopKAllScratch(seg.res.Candidates, s.opts.TopK, scratch)
+		} else {
+			seg.fused, seg.perParam = edb.MatchAllScratch(seg.res.Candidates, scratch)
 		}
 	}
 	*sent = true
@@ -874,41 +765,33 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 	sink := s.opts.Sink
 
 	matchedN, unknownN, candsN := 0, 0, 0
-	// Every branch runs every candidate through the same verdict
+	// Both branches run every candidate through the same verdict
 	// accounting, so a change to it cannot drift the trainer-mode stream
 	// from the normal one.
-	verdict := func(c *core.Candidate, scores []core.Score) {
+	verdict := func(c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) {
 		candsN++
-		if emitVerdict(sink, s.opts.Threshold, c, scores) {
+		if emitCandidate(sink, s.opts.Threshold, c, fused, perParam) {
 			matchedN++
 		} else {
 			unknownN++
 		}
 	}
-	verdictMulti := func(c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) {
-		candsN++
-		if emitVerdictMulti(sink, s.opts.Threshold, c, fused, perParam) {
-			matchedN++
-		} else {
-			unknownN++
-		}
-	}
-	var trainCands []core.Candidate      // the merged window, for the trainer
-	var trainMulti []core.MultiCandidate // ensemble-mode form
-	switch {
-	case s.deferMatch && s.multi:
-		// Trainer mode, fused: merge the shards' unmatched candidates
-		// into the serial window order, then fuse-match here — after any
-		// swap the previous window's enrollment installed.
+	var merged []core.MultiCandidate // the merged window, for the trainer
+	if s.deferMatch {
+		// Trainer mode: the shards shipped unmatched candidates. Merge
+		// them into the serial engine's ascending-address window order,
+		// then match the whole window here — after any swap the previous
+		// window's enrollment installed — fanning out across workers
+		// exactly like the serial engine's window matching.
 		total := 0
 		for k := range segs {
-			total += len(segs[k].res.Multi)
+			total += len(segs[k].res.Candidates)
 		}
-		merged := make([]core.MultiCandidate, 0, total)
+		merged = make([]core.MultiCandidate, 0, total)
 		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Multi) },
-			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
-			func(k, i int) { merged = append(merged, segs[k].res.Multi[i]) })
+			func(k int) int { return len(segs[k].res.Candidates) },
+			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
+			func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
 		var fused [][]core.Score
 		var perParam [][][]core.Score
 		if edb := s.edb.Load(); edb != nil && edb.Len() > 0 && len(merged) > 0 {
@@ -919,73 +802,14 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 			}
 		}
 		for i := range merged {
-			var f []core.Score
-			var pp [][]core.Score
-			if fused != nil {
-				f = fused[i]
-			}
-			if perParam != nil {
-				pp = perParam[i]
-			}
-			verdictMulti(&merged[i], f, pp)
+			verdict(&merged[i], row(fused, i), row(perParam, i))
 		}
-		trainMulti = merged
-	case s.deferMatch:
-		// Trainer mode: the shards shipped unmatched candidates. Merge
-		// them into the serial engine's ascending-address window order,
-		// then match the whole window here — after any swap the previous
-		// window's enrollment installed — fanning out across workers
-		// exactly like the serial engine's window matching.
-		total := 0
-		for k := range segs {
-			total += len(segs[k].res.Candidates)
-		}
-		merged := make([]core.Candidate, 0, total)
-		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Candidates) },
-			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
-			func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
-		var rows [][]core.Score
-		if db := s.db.Load(); db != nil && db.Len() > 0 && len(merged) > 0 {
-			if s.opts.TopK > 0 {
-				rows = db.TopKAllWorkers(merged, s.opts.TopK, 0)
-			} else {
-				rows = db.MatchAll(merged)
-			}
-		}
-		for i := range merged {
-			var scores []core.Score
-			if rows != nil {
-				scores = rows[i]
-			}
-			verdict(&merged[i], scores)
-		}
-		trainCands = merged
-	case s.multi:
-		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Multi) },
-			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
-			func(k, i int) {
-				var f []core.Score
-				var pp [][]core.Score
-				if segs[k].fused != nil {
-					f = segs[k].fused[i]
-				}
-				if segs[k].perParam != nil {
-					pp = segs[k].perParam[i]
-				}
-				verdictMulti(&segs[k].res.Multi[i], f, pp)
-			})
-	default:
+	} else {
 		mergeByAddr(len(segs),
 			func(k int) int { return len(segs[k].res.Candidates) },
 			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
 			func(k, i int) {
-				var scores []core.Score
-				if segs[k].rows != nil {
-					scores = segs[k].rows[i]
-				}
-				verdict(&segs[k].res.Candidates[i], scores)
+				verdict(&segs[k].res.Candidates[i], row(segs[k].fused, i), row(segs[k].perParam, i))
 			})
 	}
 
@@ -1002,7 +826,7 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 			if sink != nil {
 				sink.HandleEvent(CandidateDropped{
 					Window: meta.Index, Addr: d.Addr,
-					Observations: d.Observations, Minimum: s.cfg.MinObservations,
+					Observations: d.Observations, Minimum: s.cfgs[0].MinObservations,
 					Evicted: d.Evicted,
 				})
 			}
@@ -1035,16 +859,7 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 					s.health.recordPanic(s.opts.HealthSink, "trainer", -1, r)
 				}
 			}()
-			emit := func(ev Event) {
-				if sink != nil {
-					sink.HandleEvent(ev)
-				}
-			}
-			if s.multi {
-				tr.observeWindowMulti(meta.Index, trainMulti, emit)
-			} else {
-				tr.observeWindow(meta.Index, trainCands, emit)
-			}
+			tr.observe(meta.Index, merged, sinkEmit(sink))
 		}()
 	}
 
@@ -1070,12 +885,8 @@ func (s *Sharded) Stats() Stats {
 	for _, sh := range s.shards {
 		st.LiveSenders += sh.table.LiveSenders()
 	}
-	if s.multi {
-		if edb := s.edb.Load(); edb != nil {
-			st.Index = edb.IndexStats()
-		}
-	} else if db := s.db.Load(); db != nil {
-		st.Index = db.IndexStats()
+	if edb := s.edb.Load(); edb != nil {
+		st.Index = edb.IndexStats()
 	}
 	if ns := s.startNs.Load(); ns != 0 {
 		st.Elapsed = time.Duration(time.Now().UnixNano() - ns) //fp:wallclock stats-only elapsed/throughput; no event output depends on it

@@ -304,7 +304,10 @@ func TestShardedCloseIdempotent(t *testing.T) {
 // sharded engine resolving rotated senders in its router produces the
 // same event stream as the serial engine resolving them in its
 // accumulator — canonical addressing is a pure function of content, so
-// the two paths must agree bit for bit at every shard count.
+// the two paths must agree bit for bit at every shard count. The
+// inter-arrival input with 50 ms windows pins the attribution order:
+// every window opens with an undefined inter-arrival value, and a probe
+// request opening one must still bind its MAC on both paths.
 func TestShardedClusteredIdenticalToSerial(t *testing.T) {
 	t.Parallel()
 	p := scenario.RandomizedOffice("shard-rand", 47, 8*time.Minute, 8)
@@ -313,44 +316,52 @@ func TestShardedClusteredIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, valid := core.Split(tr, 3*time.Minute)
-	cfg := core.Config{Param: core.ParamProbeIE}
-	db := core.NewDatabase(cfg, core.MeasureCosine)
-	if err := db.Train(core.NewClusterer(0).Apply(train)); err != nil {
-		t.Fatal(err)
-	}
-	cdb := db.Compile()
-
-	for _, shards := range []int{1, 3, 5} {
-		want := &collectSink{}
-		serial, err := engine.New(cfg, cdb, engine.Options{
-			Window: 2 * time.Minute, Threshold: 0.2, Sink: want,
-			Cluster: core.NewClusterer(0),
-		})
-		if err != nil {
+	for _, tc := range []struct {
+		name   string
+		cfg    core.Config
+		window time.Duration
+	}{
+		{"probe-ie", core.Config{Param: core.ParamProbeIE}, 2 * time.Minute},
+		{"iat-50ms", core.Config{Param: core.ParamInterArrival}, 50 * time.Millisecond},
+	} {
+		db := core.NewDatabase(tc.cfg, core.MeasureCosine)
+		if err := db.Train(core.NewClusterer(0).Apply(train)); err != nil {
 			t.Fatal(err)
 		}
-		got := &collectSink{}
-		sharded, err := engine.NewSharded(cfg, cdb, engine.ShardedOptions{
-			Window: 2 * time.Minute, Threshold: 0.2, Shards: shards, Sink: got,
-			Cluster: core.NewClusterer(0),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range valid.Records {
-			rec := valid.Records[i]
-			serial.Push(&rec)
-			rec = valid.Records[i]
-			sharded.Push(&rec)
-		}
-		serial.Close()
-		sharded.Close()
+		cdb := db.Compile()
 
-		if len(got.events) != len(want.events) {
-			t.Fatalf("shards=%d: %d events, want %d", shards, len(got.events), len(want.events))
-		}
-		for i := range want.events {
-			sameEvent(t, "clustered", got.events[i], want.events[i])
+		for _, shards := range []int{1, 3, 5} {
+			want := &collectSink{}
+			serial, err := engine.New(tc.cfg, cdb, engine.Options{
+				Window: tc.window, Threshold: 0.2, Sink: want,
+				Cluster: core.NewClusterer(0),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &collectSink{}
+			sharded, err := engine.NewSharded(tc.cfg, cdb, engine.ShardedOptions{
+				Window: tc.window, Threshold: 0.2, Shards: shards, Sink: got,
+				Cluster: core.NewClusterer(0),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range valid.Records {
+				rec := valid.Records[i]
+				serial.Push(&rec)
+				rec = valid.Records[i]
+				sharded.Push(&rec)
+			}
+			serial.Close()
+			sharded.Close()
+
+			if len(got.events) != len(want.events) {
+				t.Fatalf("%s shards=%d: %d events, want %d", tc.name, shards, len(got.events), len(want.events))
+			}
+			for i := range want.events {
+				sameEvent(t, tc.name, got.events[i], want.events[i])
+			}
 		}
 	}
 }

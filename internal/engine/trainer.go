@@ -22,17 +22,16 @@ import (
 // sender's window signatures over the enrollment horizon. When a sender
 // completes the horizon, the enrollment policy (auto, confirm-callback,
 // deny-list) decides its fate; completed signatures are promoted into
-// the trainer's private copy-on-write core.Database, compiled, and
-// hot-swapped into the bound engine with SetDB. Each promotion batch
-// emits DeviceEnrolled events (one per device), EnrollmentProgress for
-// senders still accumulating, and exactly one DBSwapped.
+// the trainer's private copy-on-write core.Ensemble, compiled, and
+// hot-swapped into the bound engine with SetEnsembleDB. Each promotion
+// batch emits DeviceEnrolled events (one per device), EnrollmentProgress
+// for senders still accumulating, and exactly one DBSwapped.
 //
-// A trainer created with NewEnsembleTrainer / NewEnsembleTrainerFrom
-// serves an ensemble engine instead: it accumulates one signature per
-// member parameter per pending sender and promotes all member
-// signatures atomically (Ensemble.Add — a live-enrolled ensemble can
-// never hold a partially-known device), hot-swapping one compiled
-// ensemble per promotion batch through SetEnsembleDB.
+// The trainer accumulates one signature per member parameter per
+// pending sender and promotes all member signatures atomically
+// (Ensemble.Add — a live-enrolled ensemble can never hold a
+// partially-known device). A single-parameter trainer (NewTrainer,
+// NewTrainerFrom) is an ensemble of one.
 //
 // Accumulation reuses the window signatures produced by
 // core.WindowAccumulator / core.SenderTable, so extraction stays a
@@ -46,30 +45,19 @@ import (
 // Compiled are safe from any goroutine.
 type Trainer struct {
 	mu           sync.Mutex
-	cfg          core.Config
-	cfgs         []core.Config // ensemble members; nil in single mode
-	multi        bool
+	cfgs         []core.Config
 	opts         TrainerOptions
-	db           *core.Database // single mode: private working copy
-	ens          *core.Ensemble // ensemble mode: private working copy
+	ens          *core.Ensemble // private working copy
 	pending      map[dot11.Addr]*pendingEnroll
 	denied       map[dot11.Addr]bool
 	evictScratch []pendingEvictCand
-	target       DBSetter         // single mode engine
-	etarget      EnsembleDBSetter // ensemble mode engine
+	target       dbSetter // the bound engine
 	stats        TrainerStats
 }
 
-// DBSetter is the hot-swap half of an engine as the trainer sees it;
+// dbSetter is the hot-swap half of an engine as the trainer sees it;
 // *Engine and *Sharded both implement it.
-type DBSetter interface {
-	SetDB(*core.CompiledDB) error
-}
-
-// EnsembleDBSetter is the hot-swap half of an ensemble engine; *Engine
-// and *Sharded both implement it (the call fails on engines built in
-// single-parameter mode).
-type EnsembleDBSetter interface {
+type dbSetter interface {
 	SetEnsembleDB(*core.CompiledEnsemble) error
 }
 
@@ -110,17 +98,16 @@ type PendingEnrollment struct {
 	Addr dot11.Addr
 	// Windows is the number of detection windows the sender has been a
 	// candidate in; Observations the observations accumulated across
-	// them (the weakest member's count for an ensemble trainer — the
-	// same count the MinObservations bar gates on).
+	// them (the weakest member's count — the same count the
+	// MinObservations bar gates on).
 	Windows      int
 	Observations uint64
-	// Sig is the accumulated training signature (single-parameter
-	// trainers; an ensemble trainer hands Sigs instead). The callback
-	// may inspect it but must not retain or mutate it — on approval it
-	// becomes the reference.
-	Sig *core.Signature
-	// Sigs are the per-member training signatures of an ensemble
-	// trainer, aligned with the ensemble's parameters (nil otherwise).
+	// Sigs are the per-member accumulated training signatures, aligned
+	// with the trainer's Configs; Sig is Sigs[0] (the whole signature of
+	// a single-parameter trainer). The callback may inspect them but
+	// must not retain or mutate them — on approval they become the
+	// reference.
+	Sig  *core.Signature
 	Sigs []*core.Signature
 }
 
@@ -133,10 +120,10 @@ type TrainerOptions struct {
 	Horizon int
 	// MinObservations additionally requires this many observations
 	// accumulated across the horizon before promotion. Zero imposes no
-	// bar beyond the per-window rule candidates already cleared. An
-	// ensemble trainer applies the bar to every member — the weakest
-	// member's count must clear it, so a fused reference is never
-	// promoted on the strength of one parameter alone.
+	// bar beyond the per-window rule candidates already cleared. The bar
+	// applies to every member — the weakest member's count must clear
+	// it, so a fused reference is never promoted on the strength of one
+	// parameter alone.
 	MinObservations uint64
 	// Policy selects auto-enrollment (default) or confirm-before-enroll.
 	Policy EnrollPolicy
@@ -175,9 +162,9 @@ type TrainerOptions struct {
 // The JSON field names are a stable API surface shared by the HTTP
 // server and the /metrics encoder (TestSnapshotJSONStable pins them).
 type TrainerStats struct {
-	// Refs is the current reference count (fully-known devices, for an
-	// ensemble trainer); Pending the senders still accumulating toward
-	// the horizon.
+	// Refs is the current reference count (devices known to every
+	// member); Pending the senders still accumulating toward the
+	// horizon.
 	Refs    int `json:"refs"`
 	Pending int `json:"pending"`
 	// Enrolled counts promotions, Updated reference refreshes (Update
@@ -195,7 +182,7 @@ type TrainerStats struct {
 }
 
 // pendingEnroll is one sender accumulating toward the horizon: one
-// signature per member (single-parameter trainers hold one).
+// signature per member.
 type pendingEnroll struct {
 	sigs       []*core.Signature
 	windows    int
@@ -227,43 +214,39 @@ func maxSigObs(sigs []*core.Signature) uint64 {
 	return max
 }
 
-// NewTrainer creates a cold-start trainer: the reference set begins
+// NewTrainer creates a cold-start single-parameter trainer — an
+// ensemble of one (see NewEnsembleTrainer): the reference set begins
 // empty and is populated entirely by enrollment. The configuration and
 // measure must match the engine the trainer is attached to.
 func NewTrainer(cfg core.Config, measure core.Measure, opts TrainerOptions) *Trainer {
-	return newTrainer(core.NewDatabase(cfg, measure), opts)
+	ens, _ := core.NewEnsemble(measure, cfg) // one member always validates
+	return newTrainer(ens, opts)
 }
 
-// NewTrainerFrom creates a trainer seeded with an existing database —
-// warm start: known references keep matching while unknown senders
-// enroll around them. The seed is deep-copied (copy-on-write); the
-// caller's database is never touched.
+// NewTrainerFrom creates a single-parameter trainer seeded with an
+// existing database — warm start: known references keep matching while
+// unknown senders enroll around them. The seed is deep-copied
+// (copy-on-write); the caller's database is never touched.
 func NewTrainerFrom(seed *core.Database, opts TrainerOptions) *Trainer {
-	return newTrainer(seed.Clone(), opts)
+	ens, _ := core.NewEnsembleFrom(seed.Clone()) // one member always validates
+	return newTrainer(ens, opts)
 }
 
-func newTrainer(db *core.Database, opts TrainerOptions) *Trainer {
-	t := newTrainerCommon(opts)
-	t.cfg = db.Config()
-	t.db = db
-	return t
-}
-
-// NewEnsembleTrainer creates a cold-start trainer for an ensemble
-// engine: one member database per configuration, all beginning empty,
-// populated by atomic multi-parameter enrollment. Member configurations
-// must carry distinct parameters.
+// NewEnsembleTrainer creates a cold-start trainer: one member database
+// per configuration, all beginning empty, populated by atomic
+// multi-parameter enrollment. Member configurations must carry distinct
+// parameters.
 func NewEnsembleTrainer(cfgs []core.Config, measure core.Measure, opts TrainerOptions) (*Trainer, error) {
 	ens, err := core.NewEnsemble(measure, cfgs...)
 	if err != nil {
 		return nil, err
 	}
-	return newEnsembleTrainer(ens, opts), nil
+	return newTrainer(ens, opts), nil
 }
 
-// NewEnsembleTrainerFrom creates an ensemble trainer seeded with an
-// existing ensemble — warm start, deep-copied. A seed holding
-// partially-known devices (enrolled in some members but not all — see
+// NewEnsembleTrainerFrom creates a trainer seeded with an existing
+// ensemble — warm start, deep-copied. A seed holding partially-known
+// devices (enrolled in some members but not all — see
 // Ensemble.Partial) is refused: such devices can never match, and the
 // trainer would never repair them either, because their addresses are
 // already "known" to some member and so never re-enter enrollment.
@@ -272,24 +255,17 @@ func NewEnsembleTrainerFrom(seed *core.Ensemble, opts TrainerOptions) (*Trainer,
 		return nil, fmt.Errorf("engine: ensemble seed holds %d partially-enrolled devices (first %v) — not matchable and not repairable; re-train or drop them first",
 			len(partial), partial[0])
 	}
-	return newEnsembleTrainer(seed.Clone(), opts), nil
+	return newTrainer(seed.Clone(), opts), nil
 }
 
-func newEnsembleTrainer(ens *core.Ensemble, opts TrainerOptions) *Trainer {
-	t := newTrainerCommon(opts)
-	t.multi = true
-	t.ens = ens
-	t.cfgs = ens.Configs()
-	t.cfg = t.cfgs[0]
-	return t
-}
-
-func newTrainerCommon(opts TrainerOptions) *Trainer {
+func newTrainer(ens *core.Ensemble, opts TrainerOptions) *Trainer {
 	if opts.Horizon <= 0 {
 		opts.Horizon = 1
 	}
 	t := &Trainer{
+		cfgs:    ens.Configs(),
 		opts:    opts,
+		ens:     ens,
 		pending: make(map[dot11.Addr]*pendingEnroll),
 		denied:  make(map[dot11.Addr]bool),
 	}
@@ -299,145 +275,67 @@ func newTrainerCommon(opts TrainerOptions) *Trainer {
 	return t
 }
 
-// Config returns the trainer's extraction configuration (the first
-// member's, for an ensemble trainer).
-func (t *Trainer) Config() core.Config { return t.cfg }
+// Config returns the first member's extraction configuration.
+func (t *Trainer) Config() core.Config { return t.cfgs[0] }
 
-// Configs returns the member configurations of an ensemble trainer, or
-// nil for a single-parameter one.
+// Configs returns the member configurations in order.
 func (t *Trainer) Configs() []core.Config {
-	if !t.multi {
-		return nil
-	}
 	out := make([]core.Config, len(t.cfgs))
 	copy(out, t.cfgs)
 	return out
 }
 
-// bind attaches the trainer to the engine it hot-swaps. One engine per
-// trainer: a second bind to a different target fails.
-func (t *Trainer) bind(target DBSetter, cfg core.Config) error {
+// bind attaches the trainer to the engine it hot-swaps and returns the
+// current compiled references for the engine to install. One engine per
+// trainer: a second bind to a different target fails, as does an engine
+// whose member parameters or bin shapes differ from the trainer's.
+func (t *Trainer) bind(target dbSetter, cfgs []core.Config) (*core.CompiledEnsemble, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.multi {
-		return fmt.Errorf("engine: ensemble trainer attached to a single-parameter engine")
-	}
-	if t.cfg.Param != cfg.Param || t.cfg.Bins != cfg.Bins {
-		return fmt.Errorf("engine: trainer shape %v/%v does not match engine %v/%v",
-			t.cfg.Param, t.cfg.Bins, cfg.Param, cfg.Bins)
-	}
-	if t.target != nil && t.target != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
-	}
-	t.target = target
-	return nil
-}
-
-// bindEnsemble is bind for the ensemble mode.
-func (t *Trainer) bindEnsemble(target EnsembleDBSetter, cfgs []core.Config) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.multi {
-		return fmt.Errorf("engine: single-parameter trainer attached to an ensemble engine")
-	}
 	if len(t.cfgs) != len(cfgs) {
-		return fmt.Errorf("engine: trainer ensemble of %d members does not match engine's %d", len(t.cfgs), len(cfgs))
+		return nil, fmt.Errorf("engine: trainer ensemble of %d members does not match engine's %d", len(t.cfgs), len(cfgs))
 	}
 	for i := range cfgs {
 		if t.cfgs[i].Param != cfgs[i].Param || t.cfgs[i].Bins != cfgs[i].Bins {
-			return fmt.Errorf("engine: trainer member %d shape %v/%v does not match engine %v/%v",
+			return nil, fmt.Errorf("engine: trainer member %d shape %v/%v does not match engine %v/%v",
 				i, t.cfgs[i].Param, t.cfgs[i].Bins, cfgs[i].Param, cfgs[i].Bins)
 		}
 	}
-	if t.etarget != nil && t.etarget != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
-	}
-	t.etarget = target
-	return nil
-}
-
-// Bind attaches the trainer to the engine it should hot-swap, for the
-// Tap (event-stream) mode, and installs the trainer's current compiled
-// references into it — which also validates the shapes for real: a
-// trainer whose parameter or bins mismatch the engine fails here, at
-// attach time, instead of silently failing every later swap. An
-// ensemble trainer's target must implement EnsembleDBSetter (both
-// engines do; the ensemble-mode SetEnsembleDB is the call that must
-// succeed). The inline mode — Options.Trainer / ShardedOptions.Trainer
-// — binds automatically.
-func (t *Trainer) Bind(target DBSetter) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.multi {
-		et, ok := target.(EnsembleDBSetter)
-		if !ok {
-			return fmt.Errorf("engine: ensemble trainer needs an engine with SetEnsembleDB")
-		}
-		if t.etarget != nil && t.etarget != et {
-			return fmt.Errorf("engine: trainer is already attached to another engine")
-		}
-		if err := et.SetEnsembleDB(t.ens.Compile()); err != nil {
-			return err
-		}
-		t.etarget = et
-		return nil
-	}
 	if t.target != nil && t.target != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
-	}
-	if err := target.SetDB(t.db.Compile()); err != nil {
-		return err
+		return nil, fmt.Errorf("engine: trainer is already attached to another engine")
 	}
 	t.target = target
-	return nil
+	return t.ens.Compile(), nil
 }
 
-// Compiled returns the latest compiled snapshot of the trainer's
-// reference database (possibly empty, for a cold start; nil for an
-// ensemble trainer, which compiles through CompiledEnsemble).
-func (t *Trainer) Compiled() *core.CompiledDB {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.multi {
-		return nil
-	}
-	return t.db.Compile()
-}
-
-// CompiledEnsemble returns the latest compiled snapshot of an ensemble
-// trainer's references (nil for a single-parameter trainer).
+// CompiledEnsemble returns the latest compiled snapshot of the
+// trainer's references (possibly empty, for a cold start).
 func (t *Trainer) CompiledEnsemble() *core.CompiledEnsemble {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.multi {
-		return nil
-	}
 	return t.ens.Compile()
 }
 
-// Database returns a deep copy of the trainer's working database — the
-// checkpoint entry point (nil for an ensemble trainer; see Ensemble).
-// The clone is taken under the trainer's lock, so it is a consistent
-// snapshot even while enrollment is running; serialise it with
-// Database.SaveBinary (fast) or Save (interop JSON).
+// Database returns a deep copy of a single-parameter trainer's working
+// database — the sole member of its one-member set — or nil for a
+// trainer with several members (see Ensemble).
 func (t *Trainer) Database() *core.Database {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.multi {
-		return nil
+	if m := t.ens.Members(); len(m) == 1 {
+		return m[0].Clone()
 	}
-	return t.db.Clone()
+	return nil
 }
 
-// Ensemble returns a deep copy of an ensemble trainer's working
-// references — the fused checkpoint entry point (nil for a
-// single-parameter trainer); serialise it with Ensemble.SaveBinary.
+// Ensemble returns a deep copy of the trainer's working references —
+// the checkpoint entry point. The clone is taken under the trainer's
+// lock, so it is a consistent snapshot even while enrollment is
+// running; serialise it with Ensemble.SaveBinary (or a one-member set's
+// database with Database.SaveBinary or Save).
 func (t *Trainer) Ensemble() *core.Ensemble {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.multi {
-		return nil
-	}
 	return t.ens.Clone()
 }
 
@@ -449,11 +347,7 @@ func (t *Trainer) Ensemble() *core.Ensemble {
 func (t *Trainer) SetIndexing(mode core.IndexMode) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.multi {
-		t.ens.SetIndexing(mode)
-		return
-	}
-	t.db.SetIndexing(mode)
+	t.ens.SetIndexing(mode)
 }
 
 // Stats returns a snapshot of the trainer's counters.
@@ -461,11 +355,7 @@ func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.stats
-	if t.multi {
-		st.Refs = t.ens.Len()
-	} else {
-		st.Refs = t.db.Len()
-	}
+	st.Refs = t.ens.Len()
 	st.Pending = len(t.pending)
 	return st
 }
@@ -491,49 +381,15 @@ func (t *Trainer) PendingList() []PendingEnrollment {
 	return out
 }
 
-// refsLocked returns the current reference count; call with mu held.
-func (t *Trainer) refsLocked() int {
-	if t.multi {
-		return t.ens.Len()
-	}
-	return t.db.Len()
-}
-
-// observeWindow folds one closed window's candidates into the
-// enrollment state, promotes completed senders under the policy, swaps
-// the bound engine's database if anything changed, and emits the
-// trainer's events (progress, enrollments, then exactly one DBSwapped)
-// through emit. Candidates must arrive in ascending address order —
-// both engines and the batch paths emit them that way — which makes
+// observe folds one closed window's candidates into the enrollment
+// state, promotes completed senders under the policy, swaps the bound
+// engine's references if anything changed, and emits the trainer's
+// events (progress, enrollments, then exactly one DBSwapped) through
+// emit. Candidates must arrive in ascending address order — both
+// engines and the batch paths emit them that way — which makes
 // promotion order, and with it the reference insertion order, a
-// deterministic function of the stream. observeWindowMulti is the
-// ensemble form over multi-parameter candidates; the two share every
-// policy decision through observeCommon.
-func (t *Trainer) observeWindow(window int, cands []core.Candidate, emit func(Event)) {
-	t.observeCommon(window, len(cands),
-		func(i int) (dot11.Addr, []*core.Signature) {
-			return dot11.Addr(cands[i].Addr), nil
-		},
-		func(i int) *core.Signature { return cands[i].Sig },
-		emit)
-}
-
-// observeWindowMulti is observeWindow for an ensemble trainer's
-// multi-parameter candidates.
-func (t *Trainer) observeWindowMulti(window int, cands []core.MultiCandidate, emit func(Event)) {
-	t.observeCommon(window, len(cands),
-		func(i int) (dot11.Addr, []*core.Signature) {
-			return dot11.Addr(cands[i].Addr), cands[i].Sigs
-		},
-		nil,
-		emit)
-}
-
-// observeCommon is the single enrollment pipeline behind both candidate
-// shapes: candAt yields candidate i's address and (ensemble mode) its
-// member signatures; sigAt yields the single-parameter signature (nil
-// function in ensemble mode).
-func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*core.Signature), sigAt func(int) *core.Signature, emit func(Event)) {
+// deterministic function of the stream.
+func (t *Trainer) observe(window int, cands []core.MultiCandidate, emit func(Event)) {
 	t.mu.Lock()
 	// Refresh recency for every pending sender that is a candidate in
 	// this window before any MaxPending eviction runs: without this, an
@@ -542,9 +398,8 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	// same window's candidate list — cascading into resetting live
 	// senders' accumulation instead of shedding genuinely stale ones.
 	if t.opts.MaxPending > 0 {
-		for i := 0; i < n; i++ {
-			addr, _ := candAt(i)
-			if p := t.pending[addr]; p != nil {
+		for i := range cands {
+			if p := t.pending[dot11.Addr(cands[i].Addr)]; p != nil {
 				p.lastWindow = window
 			}
 		}
@@ -560,13 +415,13 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	}
 	var promote []promotion
 	updated := 0
-	for i := 0; i < n; i++ {
-		addr, candSigs := candAt(i)
+	for i := range cands {
+		addr, candSigs := dot11.Addr(cands[i].Addr), cands[i].Sigs
 		if t.denied[addr] {
 			t.stats.Denied++
 			continue
 		}
-		if t.updateKnown(addr, candSigs, sigAt, i, &updated) {
+		if t.updateKnown(addr, candSigs, &updated) {
 			continue
 		}
 		p := t.pending[addr]
@@ -579,11 +434,11 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 		}
 		p.windows++
 		p.lastWindow = window
-		if !t.mergePending(p, candSigs, sigAt, i) {
+		if !mergeSigs(p.sigs, candSigs) {
 			continue // impossible by construction; never corrupt state on it
 		}
 		// The enrollment bar: every member must clear MinObservations
-		// (a single-parameter trainer has one member). Progress events
+		// (a single-parameter trainer has one). Progress events
 		// and the Confirm callback report that same binding count — the
 		// weakest member's — so Observations is always comparable to
 		// Required; the enrolled/verdict events report the best-covered
@@ -600,12 +455,7 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 		decision := DecideApprove
 		if t.opts.Policy == EnrollConfirm {
 			decision = DecideReject
-			pe := PendingEnrollment{Addr: addr, Windows: p.windows, Observations: barObs}
-			if t.multi {
-				pe.Sigs = p.sigs
-			} else {
-				pe.Sig = p.sigs[0]
-			}
+			pe := PendingEnrollment{Addr: addr, Windows: p.windows, Observations: barObs, Sig: p.sigs[0], Sigs: p.sigs}
 			if cb := t.opts.Decide; cb != nil {
 				decision = cb(pe)
 			} else if cb := t.opts.Confirm; cb != nil {
@@ -634,38 +484,28 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	}
 
 	for _, pr := range promote {
-		var err error
-		if t.multi {
-			err = t.ens.Add(pr.addr, pr.p.sigs) // all members or none: never a partial reference
-		} else {
-			err = t.db.Add(pr.addr, pr.p.sigs[0])
-		}
-		if err != nil {
+		if err := t.ens.Add(pr.addr, pr.p.sigs); err != nil { // all members or none: never a partial reference
 			continue // impossible by construction (shape-checked at bind)
 		}
 		t.stats.Enrolled++
 		evs = append(evs, DeviceEnrolled{
 			Window: window, Addr: pr.addr,
 			Windows: pr.p.windows, Observations: maxSigObs(pr.p.sigs),
-			Refs: t.refsLocked(),
+			Refs: t.ens.Len(),
 		})
 	}
 
 	// A swap is claimed — Swaps counted, DBSwapped emitted — only when a
 	// database was actually pushed to an engine. A Tap-attached trainer
-	// whose Bind was never called still accumulates and promotes (Bind
-	// installs the current references when it eventually runs), but it
-	// must not report installations that never happened.
-	if bound := t.target != nil || t.etarget != nil; (len(promote) > 0 || updated > 0) && bound {
-		if t.multi {
-			t.etarget.SetEnsembleDB(t.ens.Compile()) // shape-checked at bind; cannot fail
-		} else {
-			t.target.SetDB(t.db.Compile()) // shape-checked at bind; cannot fail
-		}
+	// has no engine bound: it still accumulates and promotes into its
+	// private references, but it must not report installations that
+	// never happened.
+	if (len(promote) > 0 || updated > 0) && t.target != nil {
+		t.target.SetEnsembleDB(t.ens.Compile()) // shape-checked at bind; cannot fail
 		t.stats.Swaps++
 		evs = append(evs, DBSwapped{
 			Window: window, Version: t.stats.Swaps,
-			Refs: t.refsLocked(), Enrolled: len(promote), Updated: updated,
+			Refs: t.ens.Len(), Enrolled: len(promote), Updated: updated,
 		})
 	}
 	t.mu.Unlock()
@@ -682,65 +522,38 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 // newPendingSigs allocates the per-member accumulation signatures of a
 // fresh pending sender.
 func (t *Trainer) newPendingSigs() []*core.Signature {
-	if t.multi {
-		sigs := make([]*core.Signature, len(t.cfgs))
-		for i, cfg := range t.cfgs {
-			sigs[i] = core.NewSignature(cfg.Param, cfg.Bins)
-		}
-		return sigs
+	sigs := make([]*core.Signature, len(t.cfgs))
+	for i, cfg := range t.cfgs {
+		sigs[i] = core.NewSignature(cfg.Param, cfg.Bins)
 	}
-	return []*core.Signature{core.NewSignature(t.cfg.Param, t.cfg.Bins)}
+	return sigs
 }
 
 // updateKnown merges an already-enrolled candidate into its reference
 // under Update mode and reports whether the candidate was a known
 // reference (and so consumed). Shapes always match: the candidate came
 // from an engine bound to this trainer's configuration.
-func (t *Trainer) updateKnown(addr dot11.Addr, candSigs []*core.Signature, sigAt func(int) *core.Signature, i int, updated *int) bool {
-	if t.multi {
-		refs := t.ens.Signatures(addr)
-		if refs == nil {
-			return false
-		}
-		if t.opts.Update {
-			ok := true
-			for m := range refs {
-				if err := refs[m].Merge(candSigs[m]); err != nil {
-					ok = false
-				}
-			}
-			if ok {
-				*updated++
-				t.stats.Updated++
-			}
-		}
-		return true
-	}
-	ref := t.db.Signature(addr)
-	if ref == nil {
+func (t *Trainer) updateKnown(addr dot11.Addr, candSigs []*core.Signature, updated *int) bool {
+	refs := t.ens.Signatures(addr)
+	if refs == nil {
 		return false
 	}
-	if t.opts.Update {
-		if err := ref.Merge(sigAt(i)); err == nil {
-			*updated++
-			t.stats.Updated++
-		}
+	if t.opts.Update && mergeSigs(refs, candSigs) {
+		*updated++
+		t.stats.Updated++
 	}
 	return true
 }
 
-// mergePending folds a candidate's window signature(s) into the pending
-// accumulation, reporting success.
-func (t *Trainer) mergePending(p *pendingEnroll, candSigs []*core.Signature, sigAt func(int) *core.Signature, i int) bool {
-	if t.multi {
-		for m := range p.sigs {
-			if err := p.sigs[m].Merge(candSigs[m]); err != nil {
-				return false
-			}
+// mergeSigs folds a candidate's member signatures into dst, member by
+// member, reporting success.
+func mergeSigs(dst, src []*core.Signature) bool {
+	for m := range dst {
+		if err := dst[m].Merge(src[m]); err != nil {
+			return false
 		}
-		return true
 	}
-	return p.sigs[0].Merge(sigAt(i)) == nil
+	return true
 }
 
 // pendingEvictCand is the reusable sort record of the pending-eviction
@@ -783,67 +596,46 @@ func (t *Trainer) evictPending() {
 
 // Tap returns a sink that feeds the trainer from an engine's event
 // stream and forwards every event — the engine's first, then the
-// trainer's own — to next (which may be nil to consume silently). Use
-// Bind to point the trainer at the engine to hot-swap: until Bind runs
-// the trainer accumulates and promotes into its private database but
-// claims no swaps — no DBSwapped, Stats().Swaps stays zero. Unlike the
-// inline mode, the tap observes windows only as their events are
-// delivered; on the sharded engine, whose shards match ahead of event
-// delivery, a promotion may then reach matching one window later than
-// inline attachment would — prefer ShardedOptions.Trainer when the
-// exact swap boundary matters.
+// trainer's own — to next (which may be nil to consume silently). A
+// tapped trainer is bound to no engine: it accumulates and promotes
+// into its private references (read them with Ensemble or Database)
+// but claims no swaps — no DBSwapped, Stats().Swaps stays zero. Attach
+// the trainer inline (Options.Trainer, ShardedOptions.Trainer) for the
+// engine to match against what it enrolls.
 func (t *Trainer) Tap(next Sink) Sink {
 	return &tapSink{t: t, next: next}
 }
 
 // tapSink reconstructs windows from the event stream: verdict events
 // carry the candidates (in ascending address order), WindowClosed marks
-// the boundary. Ensemble engines' verdicts carry Sigs and feed the
-// multi-parameter observation path.
+// the boundary.
 type tapSink struct {
 	t    *Trainer
 	next Sink
-	buf  []core.Candidate
-	mbuf []core.MultiCandidate
+	buf  []core.MultiCandidate
 }
 
 // HandleEvent implements Sink.
 //
-//fp:mayblock trainer-owned tap: observeWindow* re-enters the Trainer, which drives its engine synchronously from Train — no other pusher exists
+//fp:mayblock trainer-owned tap: observe re-enters the Trainer, which drives its engine synchronously from Train — no other pusher exists
 func (s *tapSink) HandleEvent(ev Event) {
 	if s.next != nil {
 		s.next.HandleEvent(ev)
 	}
 	switch ev := ev.(type) {
 	case CandidateMatched:
-		s.buffer(ev.Window, ev.Addr, ev.Sig, ev.Sigs)
+		s.buffer(ev.Window, ev.Addr, ev.Sigs)
 	case UnknownDevice:
-		s.buffer(ev.Window, ev.Addr, ev.Sig, ev.Sigs)
+		s.buffer(ev.Window, ev.Addr, ev.Sigs)
 	case WindowClosed:
-		emit := func(Event) {}
-		if s.next != nil {
-			emit = s.next.HandleEvent
-		}
-		if s.t.multi {
-			s.t.observeWindowMulti(ev.Window, s.mbuf, emit)
-		} else {
-			s.t.observeWindow(ev.Window, s.buf, emit)
-		}
+		s.t.observe(ev.Window, s.buf, sinkEmit(s.next))
 		s.buf = s.buf[:0]
-		s.mbuf = s.mbuf[:0]
 	}
 }
 
-// buffer queues one verdict's candidate in the shape the trainer runs
-// in.
-func (s *tapSink) buffer(window int, addr dot11.Addr, sig *core.Signature, sigs []*core.Signature) {
-	if s.t.multi {
-		if sigs != nil {
-			s.mbuf = append(s.mbuf, core.MultiCandidate{Addr: [6]byte(addr), Window: window, Sigs: sigs})
-		}
-		return
-	}
-	if sig != nil {
-		s.buf = append(s.buf, core.Candidate{Addr: [6]byte(addr), Window: window, Sig: sig})
+// buffer queues one verdict's candidate.
+func (s *tapSink) buffer(window int, addr dot11.Addr, sigs []*core.Signature) {
+	if sigs != nil {
+		s.buf = append(s.buf, core.MultiCandidate{Addr: [6]byte(addr), Window: window, Sigs: sigs})
 	}
 }

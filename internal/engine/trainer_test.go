@@ -415,9 +415,9 @@ func TestTrainerMaxPendingNoCascade(t *testing.T) {
 	}
 }
 
-// TestTrainerTapMatchesInline checks the event-stream attachment (Tap +
-// Bind) reproduces the inline mode on the serial engine, where event
-// delivery is synchronous with window close.
+// TestTrainerTapMatchesInline checks the event-stream attachment (Tap)
+// enrolls exactly the references the inline mode does on the serial
+// engine, where event delivery is synchronous with window close.
 func TestTrainerTapMatchesInline(t *testing.T) {
 	t.Parallel()
 	const window = 2 * time.Minute
@@ -439,29 +439,12 @@ func TestTrainerTapMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bind installs the trainer's compiled references (empty here) and
-	// shape-checks through the engine's SetDB.
-	if err := tapped.Bind(eng2); err != nil {
-		t.Fatal(err)
-	}
 	eng2.PushTrace(tr)
 	eng2.Close()
 
 	sameDB(t, "tap-vs-inline", tapped.Database(), inline.Database(), probe)
-	if len(te.swapped) == 0 {
+	if len(te.enrolled) == 0 {
 		t.Fatal("tap delivered no trainer events downstream")
-	}
-
-	// A shape-mismatched trainer must fail at Bind, not silently fail
-	// every later swap.
-	wrong := engine.NewTrainer(core.DefaultConfig(core.ParamRate), core.MeasureCosine, engine.TrainerOptions{})
-	eng3, err := engine.New(cfg, nil, engine.Options{Window: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng3.Close()
-	if err := wrong.Bind(eng3); err == nil {
-		t.Fatal("Bind accepted a shape-mismatched trainer")
 	}
 }
 

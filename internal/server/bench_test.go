@@ -25,7 +25,7 @@ func BenchmarkServerQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	site.Attach(eng, nil, nil, cmdutil.References{DB: db})
+	site.Attach(eng, nil, nil, cmdutil.FromDatabase(db))
 	eng.PushTrace(val)
 	eng.Close()
 
@@ -81,7 +81,7 @@ func BenchmarkServedStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			if site != nil {
-				site.Attach(eng, nil, nil, cmdutil.References{DB: db})
+				site.Attach(eng, nil, nil, cmdutil.FromDatabase(db))
 			}
 			eng.PushTrace(val)
 			eng.Close()

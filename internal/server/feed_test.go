@@ -58,7 +58,7 @@ func TestFeedStreamsEventSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site.Attach(eng, nil, nil, cmdutil.References{DB: db})
+	site.Attach(eng, nil, nil, cmdutil.FromDatabase(db))
 	srv, ts := serveSites(t, Options{}, site)
 
 	// Connect before driving: once the response headers are in, the

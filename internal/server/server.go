@@ -181,11 +181,8 @@ func (s *Server) handleReferences(w http.ResponseWriter, r *http.Request, site *
 		return
 	}
 	var devices []dot11fp.Addr
-	switch {
-	case eng.EnsembleDB() != nil:
-		devices = eng.EnsembleDB().Devices()
-	case eng.DB() != nil:
-		devices = eng.DB().Devices()
+	if edb := eng.EnsembleDB(); edb != nil {
+		devices = edb.Devices()
 	}
 	refs := make([]string, len(devices))
 	for i, d := range devices {
@@ -218,26 +215,16 @@ func (s *Server) handleReference(w http.ResponseWriter, r *http.Request, site *S
 	}
 	refs := refsFn()
 	detail := referenceDetail{Addr: addr.String(), Params: make(map[string]uint64)}
-	switch {
-	case refs.Ens != nil:
-		sigs := refs.Ens.Signatures(addr)
-		if sigs == nil {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
-			return
-		}
-		for i, cfg := range refs.Ens.Configs() {
-			detail.Params[cfg.Param.ShortName()] = sigs[i].Observations()
-		}
-	case refs.DB != nil:
-		sig := refs.DB.Signature(addr)
-		if sig == nil {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
-			return
-		}
-		detail.Params[refs.DB.Config().Param.ShortName()] = sig.Observations()
-	default:
+	var sigs []*dot11fp.Signature
+	if refs.Ens != nil {
+		sigs = refs.Ens.Signatures(addr)
+	}
+	if sigs == nil {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
 		return
+	}
+	for i, cfg := range refs.Ens.Configs() {
+		detail.Params[cfg.Param.ShortName()] = sigs[i].Observations()
 	}
 	writeJSON(w, http.StatusOK, detail)
 }
@@ -363,12 +350,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, site *Site)
 		}
 	})
 	opts := dot11fp.EngineOptions{Window: site.opts.Window, Threshold: site.opts.Threshold, Sink: sink}
-	var batch *dot11fp.Engine
-	if edb, cfgs := eng.EnsembleDB(), eng.Configs(); edb != nil || len(cfgs) > 1 {
-		batch, err = dot11fp.NewEnsembleEngine(cfgs, edb, opts)
-	} else {
-		batch, err = dot11fp.NewEngine(eng.Config(), eng.DB(), opts)
-	}
+	batch, err := dot11fp.NewEnsembleEngine(eng.Configs(), eng.EnsembleDB(), opts)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return

@@ -125,7 +125,7 @@ func TestSenderQueryMatchesBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site.Attach(eng, nil, nil, cmdutil.References{DB: db})
+	site.Attach(eng, nil, nil, cmdutil.FromDatabase(db))
 	_, ts := serveSites(t, Options{}, site)
 
 	eng.PushTrace(val)
@@ -266,7 +266,7 @@ func TestCheckpointOverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm.Attach(warmEng, nil, nil, cmdutil.References{DB: db})
+	warm.Attach(warmEng, nil, nil, cmdutil.FromDatabase(db))
 
 	cold := NewSite("cold", SiteOptions{Window: testWindow, CheckpointPath: path})
 	empty := dot11fp.NewDatabase(cfg, dot11fp.MeasureCosine)
@@ -274,7 +274,7 @@ func TestCheckpointOverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold.Attach(coldEng, nil, nil, cmdutil.References{DB: empty})
+	cold.Attach(coldEng, nil, nil, cmdutil.FromDatabase(empty))
 
 	_, ts := serveSites(t, Options{}, warm, cold)
 
@@ -356,7 +356,7 @@ func TestTwoSitesIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	siteA.Attach(engA, nil, nil, cmdutil.References{DB: db})
+	siteA.Attach(engA, nil, nil, cmdutil.FromDatabase(db))
 
 	siteB := NewSite("beta", SiteOptions{Window: testWindow})
 	emptyDB := dot11fp.NewDatabase(cfg, dot11fp.MeasureCosine)
@@ -364,7 +364,7 @@ func TestTwoSitesIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	siteB.Attach(engB, nil, nil, cmdutil.References{DB: emptyDB})
+	siteB.Attach(engB, nil, nil, cmdutil.FromDatabase(emptyDB))
 
 	_, ts := serveSites(t, Options{}, siteA, siteB)
 
@@ -550,7 +550,7 @@ func TestPushZeroAllocsWithServerAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site.Attach(eng, nil, nil, cmdutil.References{DB: db})
+	site.Attach(eng, nil, nil, cmdutil.FromDatabase(db))
 	sub := site.Feed().Subscribe()
 	defer sub.Close()
 

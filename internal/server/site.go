@@ -30,7 +30,7 @@ import (
 // EngineHandle is the slice of an engine the server needs: snapshots,
 // configuration, and the reference views — all safe from any
 // goroutine. *dot11fp.Engine and *dot11fp.ShardedEngine both implement
-// it.
+// it. DB is the sole member of a one-member reference set (else nil).
 type EngineHandle interface {
 	Stats() dot11fp.EngineStats
 	Health() dot11fp.EngineHealth
@@ -38,7 +38,6 @@ type EngineHandle interface {
 	Configs() []dot11fp.Config
 	DB() *dot11fp.CompiledDB
 	EnsembleDB() *dot11fp.CompiledEnsemble
-	SetDB(*dot11fp.CompiledDB) error
 	SetEnsembleDB(*dot11fp.CompiledEnsemble) error
 }
 
@@ -158,7 +157,7 @@ func (s *Site) Attach(eng EngineHandle, trainer *dot11fp.Trainer, srcStats func(
 	s.srcStats = srcStats
 	if trainer != nil {
 		s.refsFn = func() cmdutil.References {
-			return cmdutil.References{DB: trainer.Database(), Ens: trainer.Ensemble()}
+			return cmdutil.References{Ens: trainer.Ensemble()}
 		}
 	} else {
 		s.refsFn = func() cmdutil.References { return static }
@@ -226,20 +225,11 @@ func (s *Site) Snapshot() (SiteSnapshot, error) {
 		Health:    eng.Health(),
 		Feed:      s.feed.Stats(),
 	}
-	// The sharded engine's Configs() is nil for a single-parameter
-	// engine (by contract); fall back to the sole Config.
-	cfgs := eng.Configs()
-	if len(cfgs) == 0 {
-		cfgs = []dot11fp.Config{eng.Config()}
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range eng.Configs() {
 		snap.Params = append(snap.Params, cfg.Param.ShortName())
 	}
-	switch {
-	case eng.EnsembleDB() != nil:
-		snap.Refs = eng.EnsembleDB().Len()
-	case eng.DB() != nil:
-		snap.Refs = eng.DB().Len()
+	if edb := eng.EnsembleDB(); edb != nil {
+		snap.Refs = edb.Len()
 	}
 	if trainer != nil {
 		st := trainer.Stats()
@@ -303,15 +293,10 @@ func (s *Site) LoadCheckpoint() (refs int, gen int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	switch {
-	case loaded.Ens != nil:
-		err = eng.SetEnsembleDB(loaded.Ens.Compile())
-	case loaded.DB != nil:
-		err = eng.SetDB(loaded.DB.Compile())
-	default:
-		err = fmt.Errorf("checkpoint %s held no references", s.opts.CheckpointPath)
+	if loaded.Empty() {
+		return 0, 0, fmt.Errorf("checkpoint %s held no references", s.opts.CheckpointPath)
 	}
-	if err != nil {
+	if err := eng.SetEnsembleDB(loaded.Ens.Compile()); err != nil {
 		return 0, 0, err
 	}
 	s.mu.Lock()
