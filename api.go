@@ -232,7 +232,10 @@ func LoadBinaryEnsemble(r io.Reader) (*Ensemble, error) { return core.LoadBinary
 // Streaming engine types: the push-based form of the pipeline for live
 // monitor feeds (see the doc.go "Streaming" section).
 type (
-	// Engine is the push-based fingerprinting pipeline.
+	// Engine is the push-based fingerprinting pipeline. NewEngine and
+	// NewEnsembleEngine build its goroutine-free mode, which emits every
+	// event on the pushing goroutine; it is the same type as
+	// ShardedEngine.
 	Engine = engine.Engine
 	// EngineOptions parameterises NewEngine.
 	EngineOptions = engine.Options
@@ -376,8 +379,11 @@ func NewEnsembleTrainerFrom(seed *Ensemble, opts TrainerOptions) (*Trainer, erro
 // Sharded engine types: the concurrent, shard-per-core form of the
 // streaming pipeline (see the doc.go "Scaling" section).
 type (
-	// ShardedEngine hash-partitions records by sender across per-core
-	// shards; the merged event stream is identical to Engine's.
+	// ShardedEngine is Engine under its sharded-mode name:
+	// NewShardedEngine and NewShardedEnsembleEngine build it to
+	// hash-partition records by sender across per-core shards behind
+	// queues and a merger goroutine; the merged event stream is
+	// identical to the goroutine-free mode's.
 	ShardedEngine = engine.Sharded
 	// ShardedOptions parameterises NewShardedEngine.
 	ShardedOptions = engine.ShardedOptions

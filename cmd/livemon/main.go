@@ -107,14 +107,10 @@ func main() {
 		trainer.SetIndexing(indexMode)
 	}
 
-	// The serial engine and the sharded engine share the push contract,
-	// so the monitoring loop is engine-agnostic; a -param comma list
-	// adds members to the fused reference set.
-	var eng interface {
-		Push(*dot11fp.Record)
-		Close()
-		server.EngineHandle
-	}
+	// -shards 1 runs the engine inline on this goroutine, more shards
+	// behind queues; the monitoring loop is the same either way. A
+	// -param comma list adds members to the fused reference set.
+	var eng *dot11fp.Engine
 	// Windows are stamped with the capture's wall clock.
 	clock := func(us int64) string {
 		return stream.Base().Add(time.Duration(us) * time.Microsecond).Format("15:04:05")

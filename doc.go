@@ -59,31 +59,37 @@
 //	}
 //	eng.Close()
 //
-// Engine.SetEnsembleDB hot-swaps the references mid-stream (live
-// retraining without dropping a frame; wrap a single compiled database
-// with EnsembleOf), and Engine.Stats exposes
-// frames/s, live senders and per-verdict counters. The batch paths are
-// thin adapters over the same code: CandidatesIn replays a trace
-// through the shared WindowAccumulator and Evaluate drives an Engine,
-// so batch and streaming output are bit-identical
-// (TestEngineBitIdenticalToBatch). See cmd/livemon for the pipeline as
-// a live monitoring service and examples/livestream for the API end to
-// end.
+// NewEngine builds the engine's goroutine-free mode: Push runs the
+// router (window clock, sender resolution, parameter values) and
+// observes straight into one sender table, and a window close matches
+// and emits on the pushing goroutine — no queues, no internal
+// goroutines. Engine.SetEnsembleDB hot-swaps the references mid-stream
+// (live retraining without dropping a frame; wrap a single compiled
+// database with EnsembleOf), and Engine.Stats exposes frames/s, live
+// senders and per-verdict counters. The batch path is the reference
+// oracle: CandidatesIn replays a trace through WindowAccumulator, which
+// shares the window clock and sender table with the engine but not its
+// router, and the engine's output is tested bit-identical to it
+// (TestEngineBitIdenticalToBatch). Evaluate drives an Engine. See
+// cmd/livemon for the pipeline as a live monitoring service and
+// examples/livestream for the API end to end.
 //
 // # Scaling
 //
 // The detection loop is per-sender and windowed, which makes it
-// shardable by transmitter address. ShardedEngine is the concurrent
-// form of Engine: a router on the pushing goroutine applies the global
-// window clock and attribution rules, computes each observation's
-// parameter value against the stream-wide inter-arrival context, and
-// hash-partitions the observations across N shards (default
-// GOMAXPROCS). Each shard owns its accumulator and match scratch and is
-// fed through an SPSC batch queue; a merger joins per-shard results
-// back into one event stream. Because windowing and parameter values
-// are computed globally, the merged stream is identical to the serial
-// Engine's — same events, same order — for every shard count
-// (TestShardedIdenticalToSerial); shard count changes wall-clock
+// shardable by transmitter address. NewShardedEngine builds the same
+// engine type (ShardedEngine is another name for Engine) in its
+// concurrent mode: the same router on the pushing goroutine applies the
+// global window clock and attribution rules, computes each
+// observation's parameter value against the stream-wide inter-arrival
+// context, and hash-partitions the observations across N shards
+// (default GOMAXPROCS). Each shard owns its sender table and match
+// scratch and is fed through an SPSC batch queue; a merger joins
+// per-shard results back into one event stream through the same window
+// emission the goroutine-free mode runs. Because windowing and
+// parameter values are computed globally, the merged stream is
+// identical to NewEngine's — same events, same order — for every shard
+// count (TestShardedIdenticalToSerial); shard count changes wall-clock
 // behaviour only.
 //
 //	eng, _ := dot11fp.NewShardedEngine(cfg, db.Compile(), dot11fp.ShardedOptions{
@@ -97,11 +103,11 @@
 // shard queue fills, so a slow sink throttles the producer losslessly;
 // Drop bounds ingest latency instead, discarding observations under
 // pressure and counting them in Stats.DroppedFrames (window clocking is
-// never dropped). Events are delivered asynchronously on an internal
+// never dropped). Events are delivered asynchronously on the merger
 // goroutine; Flush and Close block until every flushed window's events
 // have reached the sink.
 //
-// Sender state is boundable on both engines via SenderLimits: a
+// Sender state is boundable in both modes via SenderLimits: a
 // MaxSenders cap evicts least-recently-seen senders (batched, so the
 // scan amortises), and IdleEvict sweeps senders silent for longer than
 // the bound — under MAC randomization, apparent senders outnumber
@@ -150,7 +156,7 @@
 // enrolled over the first K windows of a stream (Horizon 1, Update on)
 // is bit-identical — same references, same insertion order, same
 // MatchAll scores — to one batch-trained per window on the same
-// prefix, on both the serial and the sharded engine
+// prefix, inline and sharded
 // (TestTrainerLiveEqualsBatch). NewTrainerFrom seeds a warm start from
 // an existing database (deep-copied); TrainerOptions.Update keeps
 // enrolled references learning from re-observations.
@@ -197,11 +203,11 @@
 // events (Supervisor.Notify) and per-source SourceStats counters
 // (records, decode errors, failures, reopens, state).
 //
-// Compute: both engines recover panics in shard, merger, and sink code
+// Compute: the engine recovers panics in shard, merger, and sink code
 // — a poisoned frame costs its own batch, not the process, with the
-// recovery surfaced as a ComponentPanicked event on
-// ShardedOptions.HealthSink and counted in Engine/Sharded Health()
-// snapshots. ShardedOptions.Watchdog arms a stall detector that emits
+// recovery surfaced as a ComponentPanicked event on the HealthSink and
+// counted in Engine.Health() snapshots (window delivery counts as
+// EnginePanics in the goroutine-free mode, MergerPanics when sharded). ShardedOptions.Watchdog arms a stall detector that emits
 // ShardStalled/ShardResumed as shards stop and resume draining.
 // Supervision lives entirely off the per-frame path: the fault-free
 // hot loops stay allocation-free and lock-free

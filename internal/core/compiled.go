@@ -262,7 +262,12 @@ func (c *CompiledDB) Match(candidate *Signature) []Score {
 // extended slice — the allocation-free form of Match for callers that
 // reuse a result buffer across windows (append-style, like
 // histogram.AppendFreqs). It routes through the pooled scratch, so a
-// warmed dst[:0] with capacity ≥ Len() makes the call allocation-free.
+// warmed dst[:0] with capacity ≥ Len() makes the call allocation-free
+// only while the pool holds a scratch: a sync.Pool may drop its
+// entries at any garbage collection (and, under the race detector, at
+// random Puts), and every miss allocates a fresh scratch. Callers that
+// need a hard zero-allocation guarantee own a MatchScratch and call
+// MatchInto.
 func (c *CompiledDB) MatchAppend(candidate *Signature, dst []Score) []Score {
 	s := c.getScratch()
 	dst = append(dst, c.MatchInto(candidate, s)...)

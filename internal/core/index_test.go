@@ -315,7 +315,10 @@ func TestMatchAppendReuse(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		dst = c.MatchAppend(cands[0].Sig, dst[:0])
 	})
-	if allocs != 0 {
+	// The race detector drops a random share of sync.Pool Puts, so the
+	// pooled scratch is re-allocated on some calls; only the allocation
+	// count depends on the pool, the scores above are checked regardless.
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("MatchAppend with warm buffer: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -38,8 +38,8 @@ type senderEntry struct {
 
 // SenderTable accumulates per-sender signatures for one detection
 // window with optionally bounded state. It is the sender-map core of
-// WindowAccumulator, split out so a sharded engine can own one table
-// per shard and clock them externally.
+// WindowAccumulator, split out so the streaming engine can own one
+// table per shard and clock them externally.
 //
 // A table keeps one signature per member parameter per sender (a
 // single-parameter table is an ensemble of one). All members share the
@@ -169,8 +169,8 @@ func (t *SenderTable) entry(addr dot11.Addr, now int64) *senderEntry {
 // inter-arrival at a window start — without hiding the record from the
 // members where it is defined). Callers have already applied the
 // attribution rules and computed the values (MemberValues) —
-// WindowAccumulator for the serial paths, the sharded engine's router
-// for the concurrent one. Call only when at least one member is valid,
+// WindowAccumulator for the batch paths, the engine's router for the
+// streaming one. Call only when at least one member is valid,
 // so sender recency, eviction and entry creation stay a deterministic
 // function of the attributed record stream.
 //

@@ -65,10 +65,10 @@ type WindowMeta struct {
 }
 
 // WindowClock is the detection-window bookkeeping shared by
-// WindowAccumulator and the sharded engine's router — one
-// implementation of the grid anchoring, non-empty-window numbering,
-// per-window frame counting and inter-arrival context reset, so the
-// serial and sharded paths cannot drift apart. The grid is anchored at
+// WindowAccumulator and the engine's router — one implementation of
+// the grid anchoring, non-empty-window numbering, per-window frame
+// counting and inter-arrival context reset, so the batch and streaming
+// paths cannot drift apart. The grid is anchored at
 // the first record; a non-positive window size keeps the whole stream
 // as one window (closed only by CloseOpen).
 type WindowClock struct {
@@ -246,7 +246,7 @@ func (a *WindowAccumulator) WindowsClosed() int { return int(a.windows.Load()) }
 // defined, so sender recency (and with it bounded-state eviction) stays
 // a deterministic function of the attributed record stream.
 //
-//fp:hotpath test=TestEnginePushZeroAllocs
+//fp:hotpath test=TestWindowAccumulatorPushZeroAllocs
 func (a *WindowAccumulator) Push(rec *capture.Record) {
 	if closed, meta := a.clock.Advance(rec.T); closed {
 		a.close(meta)

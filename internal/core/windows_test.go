@@ -232,6 +232,34 @@ func TestWindowAccumulatorResults(t *testing.T) {
 	}
 }
 
+// TestWindowAccumulatorPushZeroAllocs pins the batch accumulator's
+// hot path: once a window's senders and histograms are established,
+// pushing a record — window clock, member values, sender-table
+// observation — allocates nothing.
+func TestWindowAccumulatorPushZeroAllocs(t *testing.T) {
+	tr := compiledFixtureTrace(5, 4_000) // ~3 s of traffic: one 24 h window
+	acc, err := NewEnsembleAccumulator(24*time.Hour, []Config{
+		{Param: ParamInterArrival}, {Param: ParamSize}, {Param: ParamRate},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Records {
+		acc.Push(&tr.Records[i])
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range tr.Records {
+			acc.Push(&tr.Records[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("accumulator push allocated %v times per %d-record sweep, want 0", allocs, len(tr.Records))
+	}
+	if acc.WindowsClosed() != 0 || acc.LiveSenders() != 5 {
+		t.Fatalf("%d windows closed, %d live senders; want 0 and 5 (one open window)", acc.WindowsClosed(), acc.LiveSenders())
+	}
+}
+
 func TestSplitEdgeCases(t *testing.T) {
 	t.Parallel()
 	empty := &capture.Trace{}

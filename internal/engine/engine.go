@@ -3,15 +3,22 @@
 //
 // The paper's detection loop is inherently online — a passive monitor
 // watches frames arrive and re-identifies every candidate device once
-// per 5-minute detection window (§V-A). Engine implements exactly that
-// loop without ever materialising a trace: each pushed record updates
-// the current window's per-sender signature accumulation (shared with
-// the batch paths via core.WindowAccumulator, so streaming and batch
-// extraction are one code path); when a record crosses a window
-// boundary the closed window's candidates are matched against the
-// compiled reference database and typed events are emitted to the
-// caller's sink. Memory is O(live senders + references), independent of
-// stream length, and the push path is allocation-light at steady state.
+// per 5-minute detection window (§V-A). The engine implements exactly
+// that loop without ever materialising a trace: each pushed record
+// updates the current window's per-sender signature accumulation in a
+// core.SenderTable (the table the batch core.WindowAccumulator runs on,
+// which stays the reference oracle the engine is tested against); when
+// a record crosses a window boundary the closed window's candidates are
+// matched against the compiled reference database and typed events are
+// emitted to the caller's sink. Memory is O(live senders + references),
+// independent of stream length, and the push path is allocation-free
+// at steady state.
+//
+// There is one engine type, Sharded. New and NewEnsemble build its
+// goroutine-free one-shard mode (named Engine), which delivers every
+// event on the pushing goroutine; NewSharded and NewShardedEnsemble
+// build the shard-per-core mode behind queues and a merger. Both modes
+// run the same router and the same window emission.
 //
 // The reference set is hot-swappable (SetEnsembleDB), so references can be
 // retrained — e.g. from a fresher training window — without dropping
@@ -27,11 +34,8 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dot11fp/internal/capture"
 	"dot11fp/internal/core"
 )
 
@@ -141,37 +145,10 @@ type Stats struct {
 	Index core.IndexStats `json:"index"`
 }
 
-// Engine is a push-based fingerprinting pipeline. Push, PushTrace,
-// Flush and Close must be called from a single goroutine;
-// SetEnsembleDB, DB, EnsembleDB and Stats are safe from any goroutine
-// at any time.
-//
-// An engine extracts every member parameter in one pass and matches
-// each window against a CompiledEnsemble, emitting fused plus
-// per-member score vectors; a single-parameter engine (New) is an
-// ensemble of one, whose fused scores equal its member's bit for bit.
-type Engine struct {
-	cfgs []core.Config
-	opts Options
-	acc  *core.WindowAccumulator
-	edb  atomic.Pointer[core.CompiledEnsemble]
-
-	closed  bool
-	startNs atomic.Int64 // wall clock of the first push, unix ns
-
-	frames atomic.Uint64
-
-	// The window-scoped counters form one consistent snapshot group
-	// (see Stats); they are only touched under mu.
-	mu      sync.Mutex
-	windows uint64
-	matched uint64
-	unknown uint64
-	dropped uint64
-	evicted uint64
-
-	health healthState
-}
+// Engine is the name New and NewEnsemble return: Sharded in its
+// goroutine-free one-shard mode, which observes into one sender table
+// and emits each closed window on the pushing goroutine (see Sharded).
+type Engine = Sharded
 
 // New creates a single-parameter engine: NewEnsemble over the one
 // configuration cfg, matching against db wrapped as an ensemble of one
@@ -189,41 +166,14 @@ func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
 // distinct parameters; a non-nil edb must have been compiled from the
 // same parameters and bin shapes. Verdict events carry the fused score
 // vector plus the per-member vectors (Scores / ParamScores) and
-// per-member signatures (Sigs).
+// per-member signatures (Sigs). The engine starts no goroutine.
 func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (*Engine, error) {
-	if opts.Window == 0 {
-		opts.Window = core.DefaultWindow
-	}
-	e := &Engine{opts: opts}
-	acc, err := core.NewEnsembleAccumulator(opts.Window, cfgs, e.handleWindow)
-	if err != nil {
-		return nil, err
-	}
-	e.acc = acc
-	e.acc.SetLimits(opts.Limits)
-	e.acc.SetClusterer(opts.Cluster)
-	e.cfgs = e.acc.Configs() // defaults materialised
-	if opts.Trainer != nil {
-		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
-		}
-		if edb, err = opts.Trainer.bind(e, e.cfgs); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.SetEnsembleDB(edb); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return newSharded(cfgs, edb, ShardedOptions{
+		Window: opts.Window, Threshold: opts.Threshold, Sink: opts.Sink,
+		Shards: 1, TopK: opts.TopK, Limits: opts.Limits, Cluster: opts.Cluster,
+		Trainer: opts.Trainer, HealthSink: opts.HealthSink,
+	}, true, opts.Workers)
 }
-
-// Config returns the first member's extraction configuration with
-// defaults materialised.
-func (e *Engine) Config() core.Config { return e.cfgs[0] }
-
-// Configs returns every member configuration with defaults
-// materialised, in member order.
-func (e *Engine) Configs() []core.Config { return e.acc.Configs() }
 
 // checkShape verifies a compiled ensemble was built from the engine's
 // member parameters and bin shapes.
@@ -244,26 +194,6 @@ func checkShape(cfgs []core.Config, edb *core.CompiledEnsemble) error {
 	return nil
 }
 
-// SetEnsembleDB atomically swaps the compiled ensemble the next closed
-// window is matched against — live retraining without dropping the
-// stream (wrap a single database with core.EnsembleOf). A nil edb
-// switches the engine to extraction-only; a mismatched one leaves the
-// previous ensemble installed.
-func (e *Engine) SetEnsembleDB(edb *core.CompiledEnsemble) error {
-	if err := checkShape(e.cfgs, edb); err != nil {
-		return err
-	}
-	e.edb.Store(edb)
-	return nil
-}
-
-// EnsembleDB returns the currently installed compiled ensemble, or nil.
-func (e *Engine) EnsembleDB() *core.CompiledEnsemble { return e.edb.Load() }
-
-// DB returns the sole member of the installed ensemble when it has one
-// member, else nil.
-func (e *Engine) DB() *core.CompiledDB { return soleMember(e.edb.Load()) }
-
 // soleMember returns a one-member ensemble's member, else nil.
 func soleMember(edb *core.CompiledEnsemble) *core.CompiledDB {
 	if edb == nil {
@@ -273,166 +203,6 @@ func soleMember(edb *core.CompiledEnsemble) *core.CompiledDB {
 		return m[0]
 	}
 	return nil
-}
-
-// Push ingests one record. The record is not retained. Crossing a
-// window boundary synchronously matches and emits the completed window
-// before the record is accounted to the new one. Push panics after
-// Close.
-//
-//fp:hotpath test=TestEnginePushZeroAllocs
-func (e *Engine) Push(rec *capture.Record) {
-	if e.closed {
-		panic("engine: Push after Close")
-	}
-	if e.frames.Add(1) == 1 {
-		e.startNs.Store(time.Now().UnixNano()) //fp:wallclock throughput-stats epoch, read once on the first frame; no output depends on it
-	}
-	e.acc.Push(rec)
-}
-
-// PushTrace replays a materialised trace through the push path — the
-// batch adapter. Output is bit-identical to pushing the records one at
-// a time.
-func (e *Engine) PushTrace(tr *capture.Trace) {
-	for i := range tr.Records {
-		e.Push(&tr.Records[i])
-	}
-}
-
-// Flush closes the currently open detection window early, emitting its
-// events. The next pushed record opens a fresh window on the same grid.
-// Flushing exactly once, at stream end, keeps the event stream
-// bit-identical to the batch pipeline over the same records.
-func (e *Engine) Flush() {
-	e.acc.Flush()
-}
-
-// Close flushes the open window and seals the engine; further pushes
-// panic. Close is idempotent.
-func (e *Engine) Close() {
-	if !e.closed {
-		e.acc.Flush()
-		e.closed = true
-	}
-}
-
-// Stats returns a snapshot of the engine's counters (see the Stats type
-// for the consistency semantics).
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	s := Stats{
-		WindowsClosed: e.windows,
-		Matched:       e.matched,
-		Unknown:       e.unknown,
-		Dropped:       e.dropped,
-		Evicted:       e.evicted,
-	}
-	e.mu.Unlock()
-	s.Candidates = s.Matched + s.Unknown
-	s.Frames = e.frames.Load()
-	s.LiveSenders = e.acc.LiveSenders()
-	if edb := e.edb.Load(); edb != nil {
-		s.Index = edb.IndexStats()
-	}
-	if ns := e.startNs.Load(); ns != 0 {
-		s.Elapsed = time.Duration(time.Now().UnixNano() - ns) //fp:wallclock stats-only elapsed/throughput; no event output depends on it
-		if s.Elapsed > 0 {
-			s.FramesPerSec = float64(s.Frames) / s.Elapsed.Seconds()
-		}
-	}
-	return s
-}
-
-// Health snapshots the engine's supervision state (recovered panics in
-// window delivery and trainer steps). Safe from any goroutine.
-func (e *Engine) Health() Health { return e.health.snapshot() }
-
-// handleWindow fuse-matches one closed window's candidates and emits
-// its events. It runs on the pushing goroutine, under panic
-// supervision: a panic — a faulting sink, a matching fault — loses that
-// window's remaining events (counted in Health as an engine panic) but
-// not the stream; the accumulator has already rolled to the next window
-// and Push keeps working.
-//
-//fp:coldpath runs once per closed window; matching and emission amortise across the window's frames
-func (e *Engine) handleWindow(w *core.WindowResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.health.recordPanic(e.opts.HealthSink, "engine", -1, r)
-		}
-	}()
-	sink := e.opts.Sink
-	var fused [][]core.Score
-	var perParam [][][]core.Score
-	if edb := e.edb.Load(); edb != nil && edb.Len() > 0 && len(w.Candidates) > 0 {
-		// Rows share per-window backing allocations and are handed off to
-		// the events, never reused, so receivers may retain them.
-		if e.opts.TopK > 0 {
-			fused = edb.TopKAllWorkers(w.Candidates, e.opts.TopK, e.opts.Workers)
-		} else {
-			fused, perParam = edb.MatchAllWorkers(w.Candidates, e.opts.Workers)
-		}
-	}
-	matchedN, unknownN := 0, 0
-	for i := range w.Candidates {
-		if emitCandidate(sink, e.opts.Threshold, &w.Candidates[i], row(fused, i), row(perParam, i)) {
-			matchedN++
-		} else {
-			unknownN++
-		}
-	}
-
-	evictedN := 0
-	for _, d := range w.Dropped {
-		if d.Evicted {
-			evictedN++
-		}
-		if sink != nil {
-			sink.HandleEvent(CandidateDropped{
-				Window: w.Index, Addr: d.Addr,
-				Observations: d.Observations, Minimum: e.cfgs[0].MinObservations,
-				Evicted: d.Evicted,
-			})
-		}
-	}
-	// Evictions beyond the per-window record cap carry no individual
-	// event but count everywhere a total does.
-	candsN := len(w.Candidates)
-	droppedN := len(w.Dropped) + int(w.EvictedSilently)
-	evictedN += int(w.EvictedSilently)
-	if sink != nil {
-		sink.HandleEvent(WindowClosed{
-			Window: w.Index, Start: w.Start, End: w.End, Frames: w.Frames,
-			Senders:    candsN + droppedN,
-			Candidates: candsN,
-			Matched:    matchedN, Unknown: unknownN, Dropped: droppedN,
-		})
-	}
-
-	e.mu.Lock()
-	e.windows++
-	e.matched += uint64(matchedN)
-	e.unknown += uint64(unknownN)
-	e.dropped += uint64(droppedN)
-	e.evicted += uint64(evictedN)
-	e.mu.Unlock()
-
-	// Enrollment happens after the window's own events: the trainer's
-	// promotions swap the database the *next* window is matched against,
-	// which is exactly per-window batch training's visibility. The
-	// trainer step is supervised separately, so a panic in it loses this
-	// window's enrollment (a trainer fault in Health) but not the window.
-	if tr := e.opts.Trainer; tr != nil {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.health.recordPanic(e.opts.HealthSink, "trainer", -1, r)
-				}
-			}()
-			tr.observe(w.Index, w.Candidates, sinkEmit(sink))
-		}()
-	}
 }
 
 // row returns rows[i], or nil when no rows were computed (no references

@@ -136,6 +136,9 @@ func sameSig(t *testing.T, label string, got, want *core.Signature) {
 // conference scenario traces and on the hand-built edge trace, across
 // window sizes (including window-boundary records), minimum-observation
 // settings, out-of-order and duplicate timestamps, and worker counts.
+// The two sides share only the window clock and the sender table: the
+// engine attributes through its router, CandidatesIn through
+// core.WindowAccumulator, so this is a differential of the two.
 func TestEngineBitIdenticalToBatch(t *testing.T) {
 	t.Parallel()
 	traces := map[string]*capture.Trace{
@@ -434,4 +437,41 @@ func TestEnginePushAfterClosePanics(t *testing.T) {
 	}()
 	rec := capture.Record{T: 1, Sender: staA, Class: dot11.ClassData, FCSOK: true}
 	eng.Push(&rec)
+}
+
+// TestEngineInlineDelivery pins the goroutine-free mode New builds: the
+// Push that crosses a window boundary has delivered that window's
+// events by the time it returns (the sink runs on the pushing
+// goroutine, so the unsynchronised slice below is race-free), and the
+// engine reports no queues and no dropped frames.
+func TestEngineInlineDelivery(t *testing.T) {
+	t.Parallel()
+	var closed []engine.WindowClosed
+	sink := engine.SinkFunc(func(ev engine.Event) {
+		if w, ok := ev.(engine.WindowClosed); ok {
+			closed = append(closed, w)
+		}
+	})
+	eng, err := engine.New(core.Config{Param: core.ParamSize, MinObservations: 1}, nil,
+		engine.Options{Window: time.Second, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		rec := capture.Record{T: int64(i) * 100_000, Sender: staA, Class: dot11.ClassData, FCSOK: true, Size: 100, RateMbps: 24}
+		eng.Push(&rec)
+		if want := i / 10; len(closed) != want {
+			t.Fatalf("after push %d (t=%d µs): %d windows delivered, want %d", i, rec.T, len(closed), want)
+		}
+	}
+	eng.Close()
+	if len(closed) != 3 {
+		t.Fatalf("%d windows after Close, want 3", len(closed))
+	}
+	if h := eng.Health(); h.QueueDepths != nil {
+		t.Fatalf("inline engine reports queue depths %v, want nil", h.QueueDepths)
+	}
+	if st := eng.Stats(); st.DroppedFrames != 0 || st.Frames != 30 || st.WindowsClosed != 3 {
+		t.Fatalf("stats %+v, want 30 frames, 3 windows, no dropped frames", st)
+	}
 }

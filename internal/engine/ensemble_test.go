@@ -327,10 +327,7 @@ func TestEnsembleTrainerLiveEqualsBatch(t *testing.T) {
 		}
 		var events []engine.Event
 		sink := &collectSink{}
-		var eng interface {
-			Push(*capture.Record)
-			Close()
-		}
+		var eng *engine.Engine
 		if shards == 0 {
 			eng, err = engine.NewEnsemble(cfgs, nil, engine.Options{Window: window, Sink: sink, Trainer: trainer})
 		} else {

@@ -16,7 +16,7 @@ import (
 
 // pushStream feeds n data records from the given senders round-robin,
 // 50 µs apart.
-func pushStream(eng interface{ Push(*capture.Record) }, senders []dot11.Addr, n int) {
+func pushStream(eng *engine.Engine, senders []dot11.Addr, n int) {
 	for i := 0; i < n; i++ {
 		rec := capture.Record{
 			T: int64(i) * 50, Sender: senders[i%len(senders)], Receiver: apX,

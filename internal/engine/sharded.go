@@ -20,7 +20,7 @@ type Backpressure uint8
 const (
 	// Block makes Push wait for queue space — lossless, end-to-end flow
 	// control: a slow sink ultimately slows the producer, exactly like
-	// the serial Engine's synchronous delivery.
+	// the inline Engine's synchronous delivery.
 	Block Backpressure = iota
 	// Drop makes Push discard observations instead of waiting, counting
 	// them in Stats.DroppedFrames — bounded ingest latency under load
@@ -28,8 +28,8 @@ const (
 	// clocking is never dropped (dropping a close control would corrupt
 	// the shard merge), so windows still close on the right boundaries;
 	// dropped observations are simply missing from that window's
-	// signatures (output is then no longer equivalent to the serial
-	// engine). The lossless control path means a sink that stops
+	// signatures (output is then no longer equivalent to a lossless
+	// run). The lossless control path means a sink that stops
 	// returning altogether still stalls Push at the next window
 	// boundary — Drop bounds loss to data, it does not make a
 	// permanently wedged sink survivable; a sink with its own overflow
@@ -82,7 +82,7 @@ type ShardedOptions struct {
 	// of the merger, so with a Trainer attached the shards skip
 	// matching and the merger matches each merged window against the
 	// freshly swapped database instead (fanning out across workers).
-	// The event stream stays identical to the serial engine's with the
+	// The event stream stays identical to the inline engine's with the
 	// same Trainer settings, at every shard count.
 	Trainer *Trainer
 	// HealthSink receives supervision events (ComponentPanicked,
@@ -158,25 +158,33 @@ type shardSegment struct {
 	perParam [][][]core.Score
 }
 
-// Sharded is the concurrent form of Engine: records are hash-
-// partitioned by sender address across N independent shards, each
-// owning its accumulator and match scratch, fed through per-shard
-// SPSC batch queues; a merger joins the per-shard results back into
-// one deterministic event stream.
+// Sharded is the streaming engine. A router on the pushing goroutine
+// applies the window clock, resolves each sender and computes its
+// member values against the global inter-arrival context; the
+// observation then lands in its sender's shard, and each closed window
+// is emitted as one deterministic event stream — verdicts ascending by
+// address, then drops, then the WindowClosed summary.
 //
-// The contract is the serial Engine's: Push, PushTrace, Flush and
-// Close from a single goroutine; SetEnsembleDB, DB, EnsembleDB and
-// Stats from any goroutine. Unlike Engine, events are delivered asynchronously on an
-// internal goroutine — Flush and Close block until every event for the
-// flushed windows has been handed to the sink, and the sink must not
-// call back into Push.
+// The engine runs in one of two modes, chosen by the constructor:
 //
-// Because the router resolves each sender and computes its member
-// values against the global inter-arrival context exactly as the serial
-// accumulator does, and broadcasts one global window clock, the merged
-// event stream is identical to the serial Engine's over the same
-// records — same events, same order — for every shard count, as long
-// as no observations are dropped (Block policy, no SenderLimits).
+//   - NewSharded and NewShardedEnsemble hash-partition records by
+//     sender address across N shards, each owning its sender table and
+//     match scratch, fed through per-shard SPSC batch queues; a merger
+//     goroutine joins the per-shard results back into one window. Events
+//     are delivered on the merger goroutine — Flush and Close block
+//     until every event for the flushed windows has been handed to the
+//     sink, and the sink must not call back into Push.
+//   - New and NewEnsemble (the Engine name) run one shard inline: Push
+//     observes straight into the one sender table, and a window close
+//     matches and emits the window synchronously on the pushing
+//     goroutine. No queue, goroutine or drop policy is involved.
+//
+// In both modes Push, PushTrace, Flush and Close are called from a
+// single goroutine; SetEnsembleDB, DB, EnsembleDB, Stats and Health
+// from any goroutine. The event stream is identical in both modes and
+// at every shard count over the same records — same events, same order
+// — as long as no observations are dropped (Block policy, no
+// SenderLimits).
 type Sharded struct {
 	cfgs []core.Config
 	opts ShardedOptions
@@ -185,13 +193,22 @@ type Sharded struct {
 	shards []*shard
 	segCh  chan shardSegment
 
-	// deferMatch moves window matching from the shards to the merger
-	// (set when a Trainer is attached — see ShardedOptions.Trainer).
+	// deferMatch moves window matching from the shards to window
+	// emission (set in inline mode, and when a Trainer is attached —
+	// see ShardedOptions.Trainer). workers is that emit-time matching
+	// fan-out: Options.Workers inline, 0 (GOMAXPROCS) for the merger.
 	deferMatch bool
+	workers    int
+
+	// inline is the one shard's sender table in the goroutine-free mode
+	// New and NewEnsemble build: Push observes into it directly and
+	// window closes emit on the pushing goroutine. nil when the engine
+	// runs shard goroutines behind queues.
+	inline *core.SenderTable
 
 	// Router state, owned by the pushing goroutine. The clock is the
-	// same implementation WindowAccumulator runs on, so serial and
-	// sharded windowing cannot drift apart. vals is the reusable
+	// same implementation WindowAccumulator runs on, so engine and
+	// batch windowing cannot drift apart. vals is the reusable
 	// per-record member value buffer.
 	closed bool
 	clock  core.WindowClock
@@ -236,8 +253,16 @@ func NewSharded(cfg core.Config, db *core.CompiledDB, opts ShardedOptions) (*Sha
 // signature per member per sender, and each closed window's candidates
 // are fuse-matched against edb (nil runs extraction-only until
 // SetEnsembleDB installs one). The merged event stream is identical to
-// the serial engine's at every shard count.
+// the inline engine's (NewEnsemble) at every shard count.
 func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts ShardedOptions) (*Sharded, error) {
+	return newSharded(cfgs, edb, opts, false, 0)
+}
+
+// newSharded builds the engine in either mode: inline runs one shard on
+// the pushing goroutine (opts.Shards must be 1) and matches each window
+// at emission with the given worker fan-out; otherwise shard and merger
+// goroutines are started behind per-shard queues.
+func newSharded(cfgs []core.Config, edb *core.CompiledEnsemble, opts ShardedOptions, inline bool, workers int) (*Sharded, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
@@ -248,8 +273,10 @@ func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Sha
 		opts.QueueLen = 8192
 	}
 	s := &Sharded{
-		opts:  opts,
-		clock: core.NewWindowClock(opts.Window),
+		opts:       opts,
+		clock:      core.NewWindowClock(opts.Window),
+		deferMatch: inline || opts.Trainer != nil,
+		workers:    workers,
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -260,34 +287,38 @@ func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Sha
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{
-			ch:    make(chan *shardMsg, batches),
-			free:  make(chan *shardMsg, batches+2),
-			table: table,
-		}
-		// One message per queue slot, plus one for the router to fill
-		// and one for the shard goroutine to drain.
-		for j := 0; j < batches+2; j++ {
-			sh.free <- &shardMsg{vals: make([]float64, shardBatch*len(cfgs))}
+		sh := &shard{table: table}
+		if !inline {
+			sh.ch = make(chan *shardMsg, batches)
+			sh.free = make(chan *shardMsg, batches+2)
+			// One message per queue slot, plus one for the router to fill
+			// and one for the shard goroutine to drain.
+			for j := 0; j < batches+2; j++ {
+				sh.free <- &shardMsg{vals: make([]float64, shardBatch*len(cfgs))}
+			}
 		}
 		s.shards[i] = sh
+	}
+	if inline {
+		s.inline = s.shards[0].table
 	}
 	s.cfgs = s.shards[0].table.Configs() // defaults materialised
 	s.vals = make([]float64, len(s.cfgs))
 	if opts.Trainer != nil {
 		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
+			return nil, fmt.Errorf("engine: both db and a Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
 		}
 		var err error
 		if edb, err = opts.Trainer.bind(s, s.cfgs); err != nil {
 			return nil, err
 		}
-		s.deferMatch = true
 	}
 	if err := s.SetEnsembleDB(edb); err != nil {
 		return nil, err
 	}
-	s.start()
+	if !inline {
+		s.start()
+	}
 	return s, nil
 }
 
@@ -324,11 +355,14 @@ func (s *Sharded) Configs() []core.Config {
 	return out
 }
 
-// SetEnsembleDB atomically swaps the compiled ensemble, exactly like
-// Engine.SetEnsembleDB. Each shard picks the new references up at its
-// next window close; a swap that races a closing window may match that
-// window's shards against different references, so swap between
-// windows when the distinction matters.
+// SetEnsembleDB atomically swaps the compiled ensemble the next closed
+// window is matched against — live retraining without dropping the
+// stream (wrap a single database with core.EnsembleOf). A nil edb
+// switches the engine to extraction-only; a mismatched one leaves the
+// previous ensemble installed. Each shard picks the new references up
+// at its next window close; a swap that races a closing window may
+// match that window's shards against different references, so swap
+// between windows when the distinction matters.
 func (s *Sharded) SetEnsembleDB(edb *core.CompiledEnsemble) error {
 	if err := checkShape(s.cfgs, edb); err != nil {
 		return err
@@ -362,11 +396,13 @@ func (s *Sharded) shardOf(addr dot11.Addr) int {
 func (s *Sharded) ShardOf(addr dot11.Addr) int { return s.shardOf(addr) }
 
 // Push ingests one record; the record is not retained. The router
-// applies the global window clock and the serial accumulator's
+// applies the global window clock and the batch accumulator's
 // attribution rule — resolve the sender through the clusterer first,
 // then compute every member's value against the stream-wide
 // inter-arrival context — and forwards the observation to its sender's
-// shard. Push panics after Close.
+// shard (inline: observes it into the one sender table). Crossing a
+// window boundary closes the previous window before the record is
+// accounted to the new one. Push panics after Close.
 //
 //fp:hotpath test=TestShardedPushZeroAllocs
 func (s *Sharded) Push(rec *capture.Record) {
@@ -380,12 +416,16 @@ func (s *Sharded) Push(rec *capture.Record) {
 		s.broadcastClose(meta)
 	}
 	if !rec.Sender.IsZero() {
-		// Resolve before computing values, exactly as the serial
+		// Resolve before computing values, exactly as the batch
 		// accumulator does: a probe request opening a window has no
 		// inter-arrival value yet still binds its MAC.
 		sender := s.resolveSender(rec)
 		if valid := core.MemberValues(s.cfgs, rec, s.clock.PrevT(), s.vals); valid != 0 {
-			s.enqueue(sender, rec.Class, valid, rec.T)
+			if s.inline != nil {
+				s.inline.Observe(sender, rec.Class, s.vals, valid, rec.T)
+			} else {
+				s.enqueue(sender, rec.Class, valid, rec.T)
+			}
 		}
 	}
 	s.clock.Mark(rec.T)
@@ -484,10 +524,18 @@ func (s *Sharded) enqueue(addr dot11.Addr, class dot11.Class, valid uint8, t int
 // close-window control carrying the global window metadata. Controls
 // are never dropped — window clocking survives the Drop policy — and
 // per-shard FIFO order guarantees each shard sees all of a window's
-// observations before its close.
+// observations before its close. Inline, the one table is drained and
+// the window emitted right here, on the pushing goroutine.
 //
 //fp:coldpath one control broadcast per closed window
 func (s *Sharded) broadcastClose(meta core.WindowMeta) {
+	s.closes++
+	if s.inline != nil {
+		seg := newSegment(meta)
+		s.inline.Drain(&seg.res)
+		s.emitWindowSafe([]shardSegment{seg})
+		return
+	}
 	for _, sh := range s.shards {
 		msg := sh.cur
 		sh.cur = nil
@@ -498,7 +546,6 @@ func (s *Sharded) broadcastClose(meta core.WindowMeta) {
 		msg.meta = meta
 		sh.ch <- msg
 	}
-	s.closes++
 }
 
 // Flush closes the currently open detection window early and blocks
@@ -526,6 +573,9 @@ func (s *Sharded) Close() {
 	}
 	s.Flush()
 	s.closed = true
+	if s.inline != nil {
+		return // no goroutines to stop
+	}
 	for _, sh := range s.shards {
 		close(sh.ch)
 	}
@@ -579,9 +629,13 @@ func (s *Sharded) runWatchdog(interval time.Duration) {
 }
 
 // Health snapshots the engine's supervision state: recovered panics,
-// stalled shards, and per-shard queue depths. Safe from any goroutine.
+// stalled shards, and per-shard queue depths (nil inline, where there
+// are no queues). Safe from any goroutine.
 func (s *Sharded) Health() Health {
 	h := s.health.snapshot()
+	if s.inline != nil {
+		return h
+	}
 	h.QueueDepths = make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		h.QueueDepths[i] = len(sh.ch)
@@ -622,11 +676,7 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.E
 			if msg.closeWin && !sent {
 				// Ship the close control's segment even though its content
 				// was lost: an empty segment keeps the merge complete.
-				seg := shardSegment{meta: msg.meta}
-				seg.res.Index = msg.meta.Index
-				seg.res.Start, seg.res.End = msg.meta.Start, msg.meta.End
-				seg.res.Frames = msg.meta.Frames
-				s.segCh <- seg
+				s.segCh <- newSegment(msg.meta)
 			}
 		}
 	}()
@@ -650,10 +700,7 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.E
 //
 //fp:coldpath runs once per (shard, window) close control; drain and match amortise across the window's frames
 func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.EnsembleScratch, sent *bool) {
-	seg := shardSegment{meta: msg.meta}
-	seg.res.Index = msg.meta.Index
-	seg.res.Start, seg.res.End = msg.meta.Start, msg.meta.End
-	seg.res.Frames = msg.meta.Frames
+	seg := newSegment(msg.meta)
 	sh.table.Drain(&seg.res)
 	// With a trainer attached matching is deferred to the merger,
 	// so window k's enrollment swap is installed before window
@@ -667,6 +714,13 @@ func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.EnsembleScr
 	}
 	*sent = true
 	s.segCh <- seg
+}
+
+// newSegment returns an empty segment of the window meta describes.
+func newSegment(meta core.WindowMeta) shardSegment {
+	return shardSegment{meta: meta, res: core.WindowResult{
+		Index: meta.Index, Start: meta.Start, End: meta.End, Frames: meta.Frames,
+	}}
 }
 
 // runMerger joins shard segments back into whole windows. Every shard
@@ -690,16 +744,22 @@ func (s *Sharded) runMerger() {
 }
 
 // emitWindowSafe runs one window's merge-and-emit under panic
-// supervision. Whatever happens inside — a panicking sink, a merger
-// hook fault, a trainer fault — the window is always accounted as
+// supervision. Whatever happens inside — a panicking sink, a matching
+// fault, a merger hook fault — the window is always accounted as
 // emitted and cond is always broadcast, so Flush and Close can never
-// deadlock on a lost window; the loss is counted in Health instead.
+// deadlock on a lost window; the loss is counted in Health instead, as
+// a merger panic, or an engine panic inline (where the pushing
+// goroutine delivers the window).
 func (s *Sharded) emitWindowSafe(segs []shardSegment) {
 	var c windowCounts
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.health.recordPanic(s.opts.HealthSink, "merger", -1, r)
+				component := "merger"
+				if s.inline != nil {
+					component = "engine"
+				}
+				s.health.recordPanic(s.opts.HealthSink, component, -1, r)
 			}
 		}()
 		if h := s.opts.Hooks.MergerWindow; h != nil {
@@ -734,7 +794,7 @@ func addrCmp(a, b [6]byte) int { return bytes.Compare(a[:], b[:]) }
 // address order: n(k) is segment k's length, addr(k, i) its i-th
 // address, and emit is called once per element in merged order. Shard
 // address sets are disjoint and each segment is already sorted, so the
-// N-way head merge reproduces the serial engine's per-window order
+// N-way head merge reproduces a single table's per-window order
 // exactly.
 func mergeByAddr(segs int, n func(int) int, addr func(k, i int) [6]byte, emit func(k, i int)) {
 	pos := make([]int, segs)
@@ -756,18 +816,18 @@ func mergeByAddr(segs int, n func(int) int, addr func(k, i int) [6]byte, emit fu
 	}
 }
 
-// emitWindow merges one window's shard segments into the serial
-// engine's event order — verdicts ascending by address, then drops
-// ascending by address, then the WindowClosed summary — and returns the
-// window's counter contributions (accounted by emitWindowSafe).
+// emitWindow merges one window's shard segments into the engine's
+// event order — verdicts ascending by address, then drops ascending by
+// address, then the WindowClosed summary — and returns the window's
+// counter contributions (accounted by emitWindowSafe).
 func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 	meta := segs[0].meta
 	sink := s.opts.Sink
 
 	matchedN, unknownN, candsN := 0, 0, 0
 	// Both branches run every candidate through the same verdict
-	// accounting, so a change to it cannot drift the trainer-mode stream
-	// from the normal one.
+	// accounting, so a change to it cannot drift the emit-time-matched
+	// stream from the shard-matched one.
 	verdict := func(c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) {
 		candsN++
 		if emitCandidate(sink, s.opts.Threshold, c, fused, perParam) {
@@ -778,27 +838,30 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 	}
 	var merged []core.MultiCandidate // the merged window, for the trainer
 	if s.deferMatch {
-		// Trainer mode: the shards shipped unmatched candidates. Merge
-		// them into the serial engine's ascending-address window order,
-		// then match the whole window here — after any swap the previous
-		// window's enrollment installed — fanning out across workers
-		// exactly like the serial engine's window matching.
-		total := 0
-		for k := range segs {
-			total += len(segs[k].res.Candidates)
+		// Inline or trainer mode: the segments carry unmatched
+		// candidates. Merge them into ascending-address window order (a
+		// single segment already is), then match the whole window here —
+		// after any swap the previous window's enrollment installed —
+		// fanning out across s.workers.
+		merged = segs[0].res.Candidates
+		if len(segs) > 1 {
+			total := 0
+			for k := range segs {
+				total += len(segs[k].res.Candidates)
+			}
+			merged = make([]core.MultiCandidate, 0, total)
+			mergeByAddr(len(segs),
+				func(k int) int { return len(segs[k].res.Candidates) },
+				func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
+				func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
 		}
-		merged = make([]core.MultiCandidate, 0, total)
-		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Candidates) },
-			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
-			func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
 		var fused [][]core.Score
 		var perParam [][][]core.Score
 		if edb := s.edb.Load(); edb != nil && edb.Len() > 0 && len(merged) > 0 {
 			if s.opts.TopK > 0 {
-				fused = edb.TopKAllWorkers(merged, s.opts.TopK, 0)
+				fused = edb.TopKAllWorkers(merged, s.opts.TopK, s.workers)
 			} else {
-				fused, perParam = edb.MatchAll(merged)
+				fused, perParam = edb.MatchAllWorkers(merged, s.workers)
 			}
 		}
 		for i := range merged {

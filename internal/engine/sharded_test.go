@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -299,15 +300,72 @@ func TestShardedCloseIdempotent(t *testing.T) {
 	eng.Push(&rec)
 }
 
+// batchStream is the batch oracle for a clustered engine's event
+// stream: core.WindowAccumulator, clustering through a fresh clusterer,
+// windows and attributes the records; each closed window's candidates
+// are matched with CompiledEnsemble.MatchAll; and the events are built
+// in the engine's documented order — verdicts ascending by address
+// (CandidateMatched when the best score reaches threshold), then
+// drops, then the WindowClosed summary.
+func batchStream(t *testing.T, cfg core.Config, cdb *core.CompiledDB, window time.Duration, threshold float64, recs []capture.Record) []engine.Event {
+	t.Helper()
+	edb := core.EnsembleOf(cdb)
+	var events []engine.Event
+	minObs := 0
+	acc := core.NewWindowAccumulator(window, cfg, func(w *core.WindowResult) {
+		fused, _ := edb.MatchAll(w.Candidates)
+		matched := 0
+		for i, c := range w.Candidates {
+			best := core.Score{Sim: -1}
+			for _, sc := range fused[i] {
+				if sc.Sim > best.Sim {
+					best = sc
+				}
+			}
+			if len(fused[i]) > 0 && best.Sim >= threshold {
+				matched++
+				events = append(events, engine.CandidateMatched{
+					Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sigs[0], Scores: fused[i], Best: best,
+				})
+				continue
+			}
+			ev := engine.UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sigs[0], Scores: fused[i]}
+			if len(fused[i]) > 0 {
+				ev.Best, ev.HasBest = best, true
+			}
+			events = append(events, ev)
+		}
+		for _, d := range w.Dropped {
+			events = append(events, engine.CandidateDropped{
+				Window: w.Index, Addr: d.Addr, Observations: d.Observations, Minimum: minObs, Evicted: d.Evicted,
+			})
+		}
+		events = append(events, engine.WindowClosed{
+			Window: w.Index, Start: w.Start, End: w.End, Frames: w.Frames,
+			Senders: len(w.Candidates) + len(w.Dropped), Candidates: len(w.Candidates),
+			Matched: matched, Unknown: len(w.Candidates) - matched, Dropped: len(w.Dropped),
+		})
+	})
+	minObs = acc.Configs()[0].MinObservations
+	acc.SetClusterer(core.NewClusterer(0))
+	for i := range recs {
+		rec := recs[i]
+		acc.Push(&rec)
+	}
+	acc.Flush()
+	return events
+}
+
 // TestShardedClusteredIdenticalToSerial extends the equivalence pin to
 // the clustering stage: over the MAC-randomizing office trace, the
-// sharded engine resolving rotated senders in its router produces the
-// same event stream as the serial engine resolving them in its
-// accumulator — canonical addressing is a pure function of content, so
-// the two paths must agree bit for bit at every shard count. The
-// inter-arrival input with 50 ms windows pins the attribution order:
-// every window opens with an undefined inter-arrival value, and a probe
-// request opening one must still bind its MAC on both paths.
+// engine resolving rotated senders in its router — inline (New) and at
+// every shard count — produces the same event stream as the batch
+// WindowAccumulator resolving them through SetClusterer. Canonical
+// addressing is a pure function of content, so the paths must agree
+// bit for bit. The inter-arrival input with 50 ms windows pins the
+// attribution order: every window opens with an undefined
+// inter-arrival value, and a probe request opening one must still bind
+// its MAC on every path.
 func TestShardedClusteredIdenticalToSerial(t *testing.T) {
 	t.Parallel()
 	p := scenario.RandomizedOffice("shard-rand", 47, 8*time.Minute, 8)
@@ -329,38 +387,42 @@ func TestShardedClusteredIdenticalToSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		cdb := db.Compile()
+		want := batchStream(t, tc.cfg, cdb, tc.window, 0.2, valid.Records)
 
+		type arm struct {
+			label string
+			build func(engine.Sink) (*engine.Sharded, error)
+		}
+		arms := []arm{{"inline", func(sink engine.Sink) (*engine.Sharded, error) {
+			return engine.New(tc.cfg, cdb, engine.Options{
+				Window: tc.window, Threshold: 0.2, Sink: sink, Cluster: core.NewClusterer(0),
+			})
+		}}}
 		for _, shards := range []int{1, 3, 5} {
-			want := &collectSink{}
-			serial, err := engine.New(tc.cfg, cdb, engine.Options{
-				Window: tc.window, Threshold: 0.2, Sink: want,
-				Cluster: core.NewClusterer(0),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			arms = append(arms, arm{fmt.Sprintf("shards=%d", shards), func(sink engine.Sink) (*engine.Sharded, error) {
+				return engine.NewSharded(tc.cfg, cdb, engine.ShardedOptions{
+					Window: tc.window, Threshold: 0.2, Shards: shards, Sink: sink, Cluster: core.NewClusterer(0),
+				})
+			}})
+		}
+		for _, arm := range arms {
 			got := &collectSink{}
-			sharded, err := engine.NewSharded(tc.cfg, cdb, engine.ShardedOptions{
-				Window: tc.window, Threshold: 0.2, Shards: shards, Sink: got,
-				Cluster: core.NewClusterer(0),
-			})
+			eng, err := arm.build(got)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range valid.Records {
 				rec := valid.Records[i]
-				serial.Push(&rec)
-				rec = valid.Records[i]
-				sharded.Push(&rec)
+				eng.Push(&rec)
 			}
-			serial.Close()
-			sharded.Close()
+			eng.Close()
 
-			if len(got.events) != len(want.events) {
-				t.Fatalf("%s shards=%d: %d events, want %d", tc.name, shards, len(got.events), len(want.events))
+			label := tc.name + " " + arm.label
+			if len(got.events) != len(want) {
+				t.Fatalf("%s: %d events, want %d (batch)", label, len(got.events), len(want))
 			}
-			for i := range want.events {
-				sameEvent(t, tc.name, got.events[i], want.events[i])
+			for i := range want {
+				sameEvent(t, label, got.events[i], want[i])
 			}
 		}
 	}

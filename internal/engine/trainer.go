@@ -51,14 +51,8 @@ type Trainer struct {
 	pending      map[dot11.Addr]*pendingEnroll
 	denied       map[dot11.Addr]bool
 	evictScratch []pendingEvictCand
-	target       dbSetter // the bound engine
+	target       *Sharded // the bound engine
 	stats        TrainerStats
-}
-
-// dbSetter is the hot-swap half of an engine as the trainer sees it;
-// *Engine and *Sharded both implement it.
-type dbSetter interface {
-	SetEnsembleDB(*core.CompiledEnsemble) error
 }
 
 // EnrollPolicy selects what the trainer does with a sender that has
@@ -289,7 +283,7 @@ func (t *Trainer) Configs() []core.Config {
 // current compiled references for the engine to install. One engine per
 // trainer: a second bind to a different target fails, as does an engine
 // whose member parameters or bin shapes differ from the trainer's.
-func (t *Trainer) bind(target dbSetter, cfgs []core.Config) (*core.CompiledEnsemble, error) {
+func (t *Trainer) bind(target *Sharded, cfgs []core.Config) (*core.CompiledEnsemble, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.cfgs) != len(cfgs) {

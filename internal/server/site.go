@@ -29,8 +29,10 @@ import (
 
 // EngineHandle is the slice of an engine the server needs: snapshots,
 // configuration, and the reference views — all safe from any
-// goroutine. *dot11fp.Engine and *dot11fp.ShardedEngine both implement
-// it. DB is the sole member of a one-member reference set (else nil).
+// goroutine. *dot11fp.Engine (the one engine type, in either mode)
+// implements it; as an interface it can also be embedded in a caller's
+// own engine view or stood in for by a test double. DB is the sole member of a one-member reference set (else
+// nil).
 type EngineHandle interface {
 	Stats() dot11fp.EngineStats
 	Health() dot11fp.EngineHealth
