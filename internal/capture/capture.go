@@ -330,8 +330,8 @@ func ReadPcap(r io.Reader) (*Trace, error) {
 // stream one at a time, without materialising the trace — O(1) memory
 // for arbitrarily long captures, the input path of the streaming
 // engine. The packet buffer is recycled across records, so the steady
-// state allocates nothing per frame beyond what the pcap payload
-// forces.
+// state allocates nothing per record except the copy of a probe
+// request's ProbeIEs, which outlives the buffer.
 //
 // Records stream in capture order; frames whose capture or 802.11
 // headers do not parse are skipped, exactly like ReadPcap (which is a

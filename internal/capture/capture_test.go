@@ -348,3 +348,62 @@ func TestStreamReaderWrongLinkType(t *testing.T) {
 		t.Fatalf("error = %v, want ErrLinkType", err)
 	}
 }
+
+// TestStreamReaderNextZeroAllocs pins the StreamReader doc's claim:
+// once the packet buffer is warm, decoding a record of either link
+// type allocates nothing, and a probe request costs exactly the one
+// copy of its ProbeIEs that must outlive the recycled buffer.
+func TestStreamReaderNextZeroAllocs(t *testing.T) {
+	const runs = 200
+	var plain []Record
+	for _, rec := range sampleTrace().Records {
+		if rec.Class != dot11.ClassProbeReq && rec.FCSOK {
+			plain = append(plain, rec)
+		}
+	}
+	probes := probeTrace().Records
+	cases := []struct {
+		name     string
+		linkType uint32
+		recs     []Record
+		want     float64
+	}{
+		{"radiotap", pcap.LinkTypeRadiotap, plain, 0},
+		{"avs", pcap.LinkTypePrism, plain, 0},
+		{"radiotap-probe", pcap.LinkTypeRadiotap, probes, 1},
+		{"avs-probe", pcap.LinkTypePrism, probes, 1},
+	}
+	for _, c := range cases {
+		tr := sampleTrace()
+		tr.Records = nil
+		for i := 0; i < 2*runs; i++ {
+			rec := c.recs[i%len(c.recs)]
+			rec.T = int64(i) * 1000
+			tr.Records = append(tr.Records, rec)
+		}
+		var buf bytes.Buffer
+		if err := WritePcapLinkType(&buf, tr, c.linkType); err != nil {
+			t.Fatal(err)
+		}
+		sr, err := NewStreamReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < runs/2; i++ { // warm the packet buffer
+			if _, err := sr.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(runs/2, func() {
+			if _, err := sr.Next(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("%s: Next allocates %.2f per record, want %v", c.name, allocs, c.want)
+		}
+		if sr.Skipped() != 0 {
+			t.Errorf("%s: %d records skipped", c.name, sr.Skipped())
+		}
+	}
+}

@@ -118,11 +118,15 @@ func (w *Writer) Flush() error {
 // Reader parses a pcap stream.
 type Reader struct {
 	r         *bufio.Reader
-	byteOrder binary.ByteOrder
+	bigEndian bool
 	nanos     bool
 	linkType  uint32
 	snapLen   uint32
 }
+
+// recordHeaderLen is the size of a pcap record header: ts_sec,
+// ts_usec, incl_len, orig_len.
+const recordHeaderLen = 16
 
 // NewReader parses the file header and returns a Reader positioned at
 // the first record.
@@ -136,19 +140,26 @@ func NewReader(r io.Reader) (*Reader, error) {
 	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
 	switch magicLE {
 	case magicMicros:
-		pr.byteOrder = binary.LittleEndian
 	case magicNanos:
-		pr.byteOrder, pr.nanos = binary.LittleEndian, true
+		pr.nanos = true
 	case magicMicrosSwapped:
-		pr.byteOrder = binary.BigEndian
+		pr.bigEndian = true
 	case magicNanosSwapped:
-		pr.byteOrder, pr.nanos = binary.BigEndian, true
+		pr.bigEndian, pr.nanos = true, true
 	default:
 		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, magicLE)
 	}
-	pr.snapLen = pr.byteOrder.Uint32(hdr[16:20])
-	pr.linkType = pr.byteOrder.Uint32(hdr[20:24])
+	pr.snapLen = pr.u32(hdr[16:20])
+	pr.linkType = pr.u32(hdr[20:24])
 	return pr, nil
+}
+
+// u32 reads a header field in the file's byte order.
+func (r *Reader) u32(b []byte) uint32 {
+	if r.bigEndian {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
 }
 
 // LinkType returns the capture's link type.
@@ -164,19 +175,27 @@ func (r *Reader) Next() (Packet, error) { return r.NextInto(nil) }
 // capacity for the record, the returned Packet.Data aliases it instead
 // of allocating — the streaming reader's steady state. Pass the
 // previous packet's Data (resliced to capacity) to amortise the buffer
-// across a whole capture.
+// across a whole capture. With a recycled buffer NextInto allocates
+// nothing: the record header is parsed inside the bufio window.
 func (r *Reader) NextInto(buf []byte) (Packet, error) {
-	var rec [16]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err == io.EOF {
+	rec, err := r.r.Peek(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(rec) == 0 {
 			return Packet{}, io.EOF
+		}
+		// Consume the partial header, as io.ReadFull would have, and
+		// report the short read the way it does.
+		_, _ = r.r.Discard(len(rec))
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
 		return Packet{}, fmt.Errorf("%w: record header: %v", ErrTruncated, err)
 	}
-	sec := int64(r.byteOrder.Uint32(rec[0:4]))
-	sub := int64(r.byteOrder.Uint32(rec[4:8]))
-	incl := r.byteOrder.Uint32(rec[8:12])
-	orig := r.byteOrder.Uint32(rec[12:16])
+	sec := int64(r.u32(rec[0:4]))
+	sub := int64(r.u32(rec[4:8]))
+	incl := r.u32(rec[8:12])
+	orig := r.u32(rec[12:16])
+	_, _ = r.r.Discard(recordHeaderLen) // cannot fail: Peek buffered the bytes
 	// Bound the allocation before trusting incl: a corrupt or hostile
 	// header must not make a 4 GiB buffer out of 16 bytes of input.
 	const maxRecord = 1 << 26

@@ -1,11 +1,14 @@
 package pcap
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -277,5 +280,136 @@ func TestManyPackets(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("read %d packets, want %d", count, n)
+	}
+}
+
+// framingFixture is a three-record capture whose middle record is
+// larger than the Reader's bufio buffer, so both body paths (copy out
+// of the buffered window, io.ReadFull past it) run. It returns the
+// encoded file, the packets and the byte offset where each record
+// ends.
+func framingFixture(t *testing.T) ([]byte, []Packet, []int) {
+	t.Helper()
+	base := time.Date(2008, 8, 19, 11, 0, 0, 0, time.UTC)
+	big := make([]byte, 8<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	pkts := []Packet{
+		{Time: base, Data: []byte("first record"), OrigLen: 12},
+		{Time: base.Add(time.Millisecond), Data: big, OrigLen: len(big)},
+		{Time: base.Add(2 * time.Second), Data: []byte{0xde, 0xad}, OrigLen: 1500},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkTypeRadiotap)
+	for _, p := range pkts {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{24}
+	for _, p := range pkts {
+		ends = append(ends, ends[len(ends)-1]+16+len(p.Data))
+	}
+	return buf.Bytes(), pkts, ends
+}
+
+// readPackets reads r to its first error, returning the packets before
+// it and the error (io.EOF at a clean end).
+func readPackets(r io.Reader) ([]Packet, error) {
+	pr, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var pkts []Packet
+	for {
+		p, err := pr.Next()
+		if err != nil {
+			return pkts, err
+		}
+		pkts = append(pkts, p)
+	}
+}
+
+// TestReaderFraming pins the record framing against short reads and
+// truncation: the same file read whole, one byte per Read and half a
+// request per Read yields identical packets, and a file cut at any
+// offset ends in io.EOF exactly at a record boundary and in
+// ErrTruncated everywhere else.
+func TestReaderFraming(t *testing.T) {
+	t.Parallel()
+	raw, want, ends := framingFixture(t)
+	if len(want[1].Data) <= bufio.NewReader(nil).Size() {
+		t.Fatalf("fixture: big record (%d bytes) fits the bufio buffer", len(want[1].Data))
+	}
+	sources := map[string]func([]byte) io.Reader{
+		"whole":    func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"one-byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"half":     func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+	}
+	for name, src := range sources {
+		got, err := readPackets(src(raw))
+		if err != io.EOF {
+			t.Fatalf("%s: err = %v, want io.EOF", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: packets differ from the written ones", name)
+		}
+	}
+
+	boundary := make(map[int]int) // end offset → records before it
+	for i, e := range ends {
+		boundary[e] = i
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		got, err := readPackets(bytes.NewReader(raw[:cut]))
+		if n, ok := boundary[cut]; ok {
+			if err != io.EOF || len(got) != n {
+				t.Fatalf("cut %d (boundary after %d records): got %d records, err %v; want %d, io.EOF", cut, n, len(got), err, n)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
+		}
+		if len(got) > 0 && !reflect.DeepEqual(got, want[:len(got)]) {
+			t.Fatalf("cut %d: the %d records before the cut differ", cut, len(got))
+		}
+	}
+}
+
+// TestReaderNextIntoZeroAllocs pins the streaming steady state: with a
+// recycled buffer, NextInto allocates nothing per record.
+func TestReaderNextIntoZeroAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkTypeRadiotap)
+	base := time.Unix(1_219_143_600, 0)
+	const runs, n = 200, 500
+	for i := 0; i < n; i++ {
+		p := Packet{Time: base.Add(time.Duration(i) * time.Millisecond), Data: make([]byte, 40+i%200)}
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(runs, func() {
+		p, err := r.NextInto(recycled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled = p.Data[:cap(p.Data)]
+	})
+	if allocs != 0 {
+		t.Fatalf("NextInto allocates %.2f per record, want 0", allocs)
 	}
 }

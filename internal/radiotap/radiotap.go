@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Present-bitmap field indices (radiotap field bit numbers).
@@ -111,7 +112,8 @@ var (
 	ErrUnknownBits = errors.New("radiotap: unknown present bits beyond skip table")
 )
 
-// fieldSpec gives the wire size and alignment of each known field.
+// fieldSpecs gives the wire size and alignment of each known field.
+// Every alignment is a power of two.
 var fieldSpecs = [...]struct{ size, align int }{
 	bitTSFT:        {8, 8},
 	bitFlags:       {1, 1},
@@ -130,13 +132,8 @@ var fieldSpecs = [...]struct{ size, align int }{
 	bitRxFlags:     {2, 2},
 }
 
-// align advances off to the next multiple of a.
-func align(off, a int) int {
-	if r := off % a; r != 0 {
-		off += a - r
-	}
-	return off
-}
+// align advances off to the next multiple of a, a power of two.
+func align(off, a int) int { return (off + a - 1) &^ (a - 1) }
 
 // Encode serialises the header. The returned slice length is the value
 // stored in the header's own length field, so callers can append the
@@ -216,28 +213,26 @@ func Decode(raw []byte) (Header, int, error) {
 		return h, 0, fmt.Errorf("%w: header len %d, have %d", ErrTruncated, hlen, len(raw))
 	}
 
-	// Collect present words (the Ext bit chains additional bitmaps).
-	presents := []uint32{binary.LittleEndian.Uint32(raw[4:8])}
+	present := binary.LittleEndian.Uint32(raw[4:8])
 	off := 8
-	for presents[len(presents)-1]&(1<<bitExt) != 0 {
-		if off+4 > hlen {
-			return h, 0, fmt.Errorf("%w: chained present word", ErrTruncated)
+	if present&(1<<bitExt) != 0 {
+		// The Ext bit chains additional present words. Extra namespaces
+		// shift field data in ways we cannot interpret; refuse rather
+		// than misparse. Single-word headers cover every capture this
+		// project produces and the common real-world ones.
+		words := 1
+		for w := present; w&(1<<bitExt) != 0; words++ {
+			if off+4 > hlen {
+				return h, 0, fmt.Errorf("%w: chained present word", ErrTruncated)
+			}
+			w = binary.LittleEndian.Uint32(raw[off : off+4])
+			off += 4
 		}
-		presents = append(presents, binary.LittleEndian.Uint32(raw[off:off+4]))
-		off += 4
+		return h, 0, fmt.Errorf("%w: %d present words", ErrUnknownBits, words)
 	}
-	if len(presents) > 1 {
-		// Extra namespaces shift field data in ways we cannot interpret;
-		// refuse rather than misparse. Single-word headers cover every
-		// capture this project produces and the common real-world ones.
-		return h, 0, fmt.Errorf("%w: %d present words", ErrUnknownBits, len(presents))
-	}
-	present := presents[0]
 
-	for bit := 0; bit < 31; bit++ {
-		if present&(1<<uint(bit)) == 0 {
-			continue
-		}
+	for p := present; p != 0; p &= p - 1 {
+		bit := bits.TrailingZeros32(p)
 		if bit >= len(fieldSpecs) || fieldSpecs[bit].size == 0 {
 			return h, 0, fmt.Errorf("%w: bit %d", ErrUnknownBits, bit)
 		}

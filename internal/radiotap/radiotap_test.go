@@ -3,6 +3,7 @@ package radiotap
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -125,8 +126,20 @@ func TestDecodeChainedPresentRefused(t *testing.T) {
 	raw := make([]byte, 16)
 	binary.LittleEndian.PutUint16(raw[2:4], 16)
 	binary.LittleEndian.PutUint32(raw[4:8], 1<<bitExt)
-	if _, _, err := Decode(raw); !errors.Is(err, ErrUnknownBits) {
-		t.Fatalf("err = %v, want ErrUnknownBits", err)
+	if _, _, err := Decode(raw); !errors.Is(err, ErrUnknownBits) || !strings.Contains(err.Error(), "2 present words") {
+		t.Fatalf("err = %v, want ErrUnknownBits naming 2 present words", err)
+	}
+
+	// A third chained word is counted too.
+	binary.LittleEndian.PutUint32(raw[8:12], 1<<bitExt)
+	if _, _, err := Decode(raw); !errors.Is(err, ErrUnknownBits) || !strings.Contains(err.Error(), "3 present words") {
+		t.Fatalf("err = %v, want ErrUnknownBits naming 3 present words", err)
+	}
+
+	// A chain that runs past the header length is truncated.
+	binary.LittleEndian.PutUint32(raw[12:16], 1<<bitExt)
+	if _, _, err := Decode(raw); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
 

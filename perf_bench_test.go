@@ -231,6 +231,53 @@ func BenchmarkPcapRoundTrip(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
+// BenchmarkStreamDecode times the streaming decode path the engines
+// read from — pcap bytes → ReadPcapStream → Next — over the micro
+// trace in each capture-header format. One op is a whole pass; the
+// per-record cost is reported as ns/record and allocs/record, the
+// latter counted over a few untimed passes before the timer starts.
+func BenchmarkStreamDecode(b *testing.B) {
+	for _, lt := range []struct {
+		name     string
+		linkType uint32
+	}{
+		{"radiotap", dot11fp.LinkTypeRadiotap},
+		{"avs", dot11fp.LinkTypePrism},
+	} {
+		b.Run(lt.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := dot11fp.WritePcapLinkType(&buf, microTrace, lt.linkType); err != nil {
+				b.Fatal(err)
+			}
+			raw := buf.Bytes()
+			pass := func() (records int) {
+				sr, err := dot11fp.ReadPcapStream(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := sr.Next(); err != nil {
+						if err != io.EOF {
+							b.Fatal(err)
+						}
+						return records
+					}
+					records++
+				}
+			}
+			perPass := pass()
+			allocs := testing.AllocsPerRun(5, func() { pass() })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perPass), "ns/record")
+			b.ReportMetric(allocs/float64(perPass), "allocs/record")
+		})
+	}
+}
+
 // BenchmarkDBCodec compares the two checkpoint codecs over the micro
 // fixture's trained database — the JSON interop path against the
 // binary format the trainer's SIGHUP checkpoints use.

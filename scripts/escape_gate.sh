@@ -54,12 +54,19 @@ awk '
 ' "$ranges" "$escapes" | LC_ALL=C sort > "$observed"
 
 if $update; then
-  {
-    echo "# Heap escapes inside //fp:hotpath function ranges, as reported by"
-    echo "# go build -gcflags=-m. Maintained by scripts/escape_gate.sh -update;"
-    echo "# any new entry needs a review-visible justification here."
-    cat "$observed"
-  } > "$expect"
+  # Keep the existing file's leading comment block verbatim: it holds
+  # the hand-written justification of each entry. The default header is
+  # only for a file that does not exist yet.
+  if [ -f "$expect" ]; then
+    awk '!/^#/ { exit } { print }' "$expect" > "$expected"
+  else
+    {
+      echo "# Heap escapes inside //fp:hotpath function ranges, as reported by"
+      echo "# go build -gcflags=-m. Maintained by scripts/escape_gate.sh -update;"
+      echo "# any new entry needs a review-visible justification here."
+    } > "$expected"
+  fi
+  cat "$expected" "$observed" > "$expect"
   echo "escape_gate: wrote $(grep -cv '^#' "$expect" || true) expectation(s) to $expect"
   exit 0
 fi
